@@ -59,25 +59,49 @@ def _triangle_key(adj: tuple[int, ...], lab: list[int]) -> int:
     return key
 
 
-def _min_key(g: Graph, cells: list[list[int]]) -> int:
-    """Minimal triangle key over all refinement-compatible orderings."""
+def _transposition(n: int, a: int, b: int) -> list[int]:
+    perm = list(range(n))
+    perm[a], perm[b] = b, a
+    return perm
+
+
+def _min_key(g: Graph, cells: list[list[int]], autos: list[list[int]] | None = None) -> int:
+    """Minimal triangle key over all refinement-compatible orderings.
+
+    When `autos` is a list, permutations generating the automorphisms of g
+    that preserve the initial cells are appended to it: the map from the
+    best leaf to each later leaf with an equal key, and the transposition
+    of each twin skipped by twin pruning with the twin that was kept.
+    Together they generate the group, because the minimal leaves form one
+    coset of it and every pruned subtree is a twin transposition's image of
+    a searched one.
+    """
     nbits = comb(g.n, 2)
-    if g.edge_count == 0:
-        return 0
-    if g.edge_count == nbits:
-        return (1 << nbits) - 1
+    if g.edge_count in (0, nbits):
+        if autos is not None:
+            # every permutation inside a cell is an automorphism
+            for cell in cells:
+                autos.extend(_transposition(g.n, a, b) for a, b in zip(cell, cell[1:]))
+        return 0 if g.edge_count == 0 else (1 << nbits) - 1
     adj = g.adj
     best: int | None = None
+    best_lab: list[int] = []
 
     def rec(cells: list[list[int]]) -> None:
-        nonlocal best
+        nonlocal best, best_lab
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 break
         else:
-            key = _triangle_key(adj, [c[0] for c in cells])
+            lab = [c[0] for c in cells]
+            key = _triangle_key(adj, lab)
             if best is None or key < best:
-                best = key
+                best, best_lab = key, lab
+            elif key == best and autos is not None:
+                perm = [0] * g.n
+                for a, b in zip(best_lab, lab):
+                    perm[a] = b
+                autos.append(perm)
             return
         rest = cells[idx]
         tail = cells[idx + 1:]
@@ -85,15 +109,18 @@ def _min_key(g: Graph, cells: list[list[int]]) -> int:
         # twins are exchanged by an automorphism (equal open neighbourhoods,
         # or equal closed neighbourhoods when adjacent), so one branch per
         # twin class still reaches every minimal leaf
-        seen_open: set[int] = set()
-        seen_closed: set[int] = set()
+        seen_open: dict[int, int] = {}
+        seen_closed: dict[int, int] = {}
         for v in rest:
             open_sig = adj[v]
             closed_sig = adj[v] | 1 << v
-            if open_sig in seen_open or closed_sig in seen_closed:
+            kept = seen_open.get(open_sig, seen_closed.get(closed_sig))
+            if kept is not None:
+                if autos is not None:
+                    autos.append(_transposition(g.n, v, kept))
                 continue
-            seen_open.add(open_sig)
-            seen_closed.add(closed_sig)
+            seen_open[open_sig] = v
+            seen_closed[closed_sig] = v
             other = [w for w in rest if w != v]
             rec(_refine(adj, head + [[v], other] + tail))
 
@@ -121,6 +148,34 @@ def pair_cert(g: Graph, u: int, v: int) -> bytes:
     key = _min_key(g, cells)
     nbytes = (comb(g.n, 2) + 7) // 8
     return key.to_bytes(nbytes, "big")
+
+
+def pair_orbits(g: Graph, pairs: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Automorphism orbits of the vertex pairs `pairs`, from one search.
+
+    `pairs` must be closed under the automorphisms of g (all edges, all
+    non-edges, or all pairs, say).  Each orbit lists its pairs in input
+    order, and the orbits come in the order of their first pair.
+    """
+    autos: list[list[int]] = []
+    _min_key(g, [list(range(g.n))], autos)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    parent = list(range(len(pairs)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for perm in autos:
+        for i, (u, v) in enumerate(pairs):
+            a, b = perm[u], perm[v]
+            parent[find(i)] = find(index[(a, b) if a < b else (b, a)])
+    orbits: dict[int, list[tuple[int, int]]] = {}
+    for i, pair in enumerate(pairs):
+        orbits.setdefault(find(i), []).append(pair)
+    return list(orbits.values())
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

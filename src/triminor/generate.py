@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .canon import pair_cert
+from .canon import pair_cert, pair_orbits
 from .graphs import Graph, complement, from_rows, mader_edge_cap
 from .minors import EXHAUSTIVE_HOST_LIMIT, kr_minor_verdict
 
@@ -68,22 +68,8 @@ def _edge_invariant(g: Graph, u: int, v: int) -> tuple[int, int, int]:
 
 
 def _orbit_reps(g: Graph, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """One representative per automorphism orbit of the given vertex pairs."""
-    by_inv: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-    for u, v in pairs:
-        by_inv.setdefault(_edge_invariant(g, u, v), []).append((u, v))
-    reps = []
-    for group in by_inv.values():
-        if len(group) == 1:
-            reps.append(group[0])
-            continue
-        seen: dict[bytes, tuple[int, int]] = {}
-        for u, v in group:
-            c = pair_cert(g, u, v)
-            if c not in seen:
-                seen[c] = (u, v)
-        reps.extend(seen.values())
-    return sorted(reps)
+    """The least pair of each automorphism orbit of the given vertex pairs."""
+    return sorted(min(o) for o in pair_orbits(g, pairs))
 
 
 def _is_canonical_child(g: Graph, added: tuple[int, int]) -> bool:

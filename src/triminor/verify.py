@@ -188,8 +188,12 @@ def random_planar_triangulation(n: int, rng: random.Random) -> Graph:
 # Check implementations
 
 
+def _millis(t0: float) -> int:
+    return int((time.monotonic() - t0) * 1000)
+
+
 def _line(check: str, input_id: str, verdict: str, witness, t0: float) -> ReportLine:
-    return ReportLine(check, input_id, verdict, witness, int((time.monotonic() - t0) * 1000))
+    return ReportLine(check, input_id, verdict, witness, _millis(t0))
 
 
 def _check_wheels_r6(params: dict) -> list[ReportLine]:
@@ -248,10 +252,12 @@ def _check_list22_r7(params: dict) -> list[ReportLine]:
     return out
 
 
-def _compk7_survivors(g6: str) -> tuple[str, list]:
+def _compk7_survivors(g6: str) -> tuple[str, list, int]:
     """Apex sweep over one corpus graph: host is the graph plus a dominating
     vertex (standing for the low-degree centre it is the neighbourhood of),
-    the apex ranges over subsets of the original vertices."""
+    the apex ranges over subsets of the original vertices.  Returns the
+    offending subsets and the sweep's elapsed millis."""
+    t0 = time.monotonic()
     g = parse_graph6(g6)
     host = attach_vertex(g, range(g.n))
     survivors = apex_augment_check(host, 6, 7, candidates=tuple(range(g.n)))
@@ -261,7 +267,7 @@ def _compk7_survivors(g6: str) -> tuple[str, list]:
             internal = sum(1 for a, b in combinations(subset, 2) if g.has_edge(a, b))
             if k > 5 or internal < comb(k, 2) - 3:
                 offenders.append({"subset": list(subset), "internal_edges": internal})
-    return g6, offenders
+    return g6, offenders, _millis(t0)
 
 
 def _check_lemma_compk7(params: dict) -> list[ReportLine]:
@@ -269,11 +275,10 @@ def _check_lemma_compk7(params: dict) -> list[ReportLine]:
     K7-minor-free have size <= 5 and at most 3 missing internal edges."""
     corpus = [write_graph6(g) for g in load_corpus()]
     out = []
-    for g6, offenders in _parallel_map(_compk7_survivors, corpus, params):
-        t0 = time.monotonic()
-        out.append(_line(
+    for g6, offenders, millis in _parallel_map(_compk7_survivors, corpus, params):
+        out.append(ReportLine(
             "lemma-compk7", g6, "pass" if not offenders else "fail",
-            {"offending_subsets": offenders} if offenders else None, t0,
+            {"offending_subsets": offenders} if offenders else None, millis,
         ))
     ok = not any(l.verdict == "fail" for l in out)
     out.append(ReportLine("lemma-compk7", "summary", "pass" if ok else "fail",
@@ -324,17 +329,20 @@ _COMPK8_EXCEPTIONS = {
 }
 
 
-def _compk8_bullets(g6: str) -> tuple[str, dict]:
+def _compk8_bullets(g6: str) -> tuple[str, dict, int]:
+    """The lemma's facts for one graph, and the elapsed millis."""
+    t0 = time.monotonic()
     g = parse_graph6(g6)
     at_least = _special_vertices(g, exact=False)
     exact = _special_vertices(g, exact=True)
-    return g6, {
+    facts = {
         "connectivity": vertex_connectivity(g),
         "special_exactly5": exact,
         "special_at_least5": at_least,
         "divergent_readings": at_least != exact,
         "double_apex": double_apex_check(g, 8),
     }
+    return g6, facts, _millis(t0)
 
 
 def _check_lemma_compk8(params: dict) -> list[ReportLine]:
@@ -363,14 +371,13 @@ def _check_lemma_compk8(params: dict) -> list[ReportLine]:
             ))
         else:
             ordinary.append(write_graph6(g))
-    for g6, facts in _parallel_map(_compk8_bullets, ordinary, params):
-        t0 = time.monotonic()
+    for g6, facts, millis in _parallel_map(_compk8_bullets, ordinary, params):
         ok = (
             facts["connectivity"] >= 5
             and facts["special_exactly5"] <= 1
             and facts["double_apex"]
         )
-        out.append(_line("lemma-compk8", g6, "pass" if ok else "fail", facts, t0))
+        out.append(ReportLine("lemma-compk8", g6, "pass" if ok else "fail", facts, millis))
     ok = not any(l.verdict == "fail" for l in out)
     out.append(ReportLine("lemma-compk8", "summary", "pass" if ok else "fail",
                           {"n": n, "graphs": len(graphs)}))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 
-from triminor.canon import canonical_cert
 from triminor.graphs import Graph, contract_edge, from_rows, make_graph
 
 
@@ -57,14 +56,31 @@ def isomorphic_brute(g: Graph, h: Graph) -> bool:
     return extend([], 0)
 
 
+def pair_orbits_brute(g: Graph, pairs) -> set[frozenset]:
+    """Orbits of the vertex pairs under every automorphism, found by trying
+    all vertex permutations (one that maps every edge onto an edge is an
+    automorphism, since it is a bijection on the finite edge set)."""
+    edges = g.edges()
+    autos = [
+        perm
+        for perm in itertools.permutations(range(g.n))
+        if all(g.has_edge(perm[u], perm[v]) for u, v in edges)
+    ]
+    return {
+        frozenset(tuple(sorted((perm[u], perm[v]))) for perm in autos)
+        for u, v in pairs
+    }
+
+
 def kr_minor_brute(g: Graph, r: int, memo: dict | None = None) -> bool:
     """Complete-minor test by recursion over single edge contractions:
-    a clique on r vertices appears as a subgraph of some contraction."""
+    a clique on r vertices appears as a subgraph of some contraction.
+    The memo is keyed on the labelled graph, so no canonical form is trusted."""
     if memo is None:
         memo = {}
     if g.n < r or g.edge_count < r * (r - 1) // 2:
         return False
-    key = (canonical_cert(g), r)
+    key = (g.adj, r)
     if key in memo:
         return memo[key]
     if _has_clique_brute(g, r):

@@ -2,12 +2,14 @@ import itertools
 import random
 
 from oracles import (
+    all_graphs_on,
     graph_from_code,
     isomorphic_brute,
     orbit_classes_on,
+    pair_orbits_brute,
     random_graph_for_tests,
 )
-from triminor.canon import canonical_cert, is_isomorphic, pair_cert
+from triminor.canon import canonical_cert, is_isomorphic, pair_cert, pair_orbits
 from triminor.graphs import (
     complement,
     complete,
@@ -87,6 +89,46 @@ def test_pair_cert_groups_edges_into_orbits():
     assert len(certs) == 1
     p4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
     assert pair_cert(p4, 0, 1) == pair_cert(p4, 2, 3) != pair_cert(p4, 1, 2)
+
+
+def _assert_pair_orbits_match_brute(g):
+    pairs = list(itertools.combinations(range(g.n), 2))
+    edges = [p for p in pairs if g.has_edge(*p)]
+    non_edges = [p for p in pairs if not g.has_edge(*p)]
+    brute = pair_orbits_brute(g, pairs)
+    for subset in (pairs, edges, non_edges):
+        mine = pair_orbits(g, subset)
+        assert sorted(p for o in mine for p in o) == subset
+        expected = {o for o in brute if o <= set(subset)}
+        assert {frozenset(o) for o in mine} == expected, g.adj
+
+
+def test_pair_orbits_match_permutation_orbits_up_to_five_vertices():
+    for n in range(1, 6):
+        for g in all_graphs_on(n):
+            _assert_pair_orbits_match_brute(g)
+
+
+def test_pair_orbits_match_permutation_orbits_on_six_to_eight_vertices():
+    # edgeless and complete graphs skip the search; the multipartite ones
+    # are all twins, the wheel and the star mix twins with a lone centre
+    special = [
+        make_graph(7, []),
+        complete(8),
+        complete_multipartite(2, 2, 2),
+        complete_multipartite(3, 3),
+        complete_multipartite(1, 2, 2, 2),
+        complete_multipartite(1, 7),
+        double_axle_wheel(4),
+        complement(make_graph(8, [(i, (i + 1) % 8) for i in range(8)])),
+    ]
+    rng = random.Random(7)
+    sample = [
+        random_graph_for_tests(rng.randint(6, 8), rng, p=rng.uniform(0.2, 0.8))
+        for _ in range(24)
+    ]
+    for g in special + sample:
+        _assert_pair_orbits_match_brute(g)
 
 
 def test_cert_first_byte_is_vertex_count():

@@ -3,8 +3,15 @@ import random
 import pytest
 
 from oracles import all_graphs_on, random_graph_for_tests
-from triminor.canon import canonical_cert, is_isomorphic
-from triminor.generate import GenSpec, generate, generate_count, orderly_stream
+from triminor.canon import canonical_cert, is_isomorphic, pair_cert
+from triminor.generate import (
+    GenSpec,
+    _edge_invariant,
+    _orbit_reps,
+    generate,
+    generate_count,
+    orderly_stream,
+)
 from triminor.graphs import (
     complete,
     complete_multipartite,
@@ -124,6 +131,31 @@ def test_no_duplicate_certs():
     ):
         certs = [canonical_cert(g) for g in generate(spec)]
         assert len(certs) == len(set(certs))
+
+
+def _orbit_reps_by_pair_cert(g, pairs):
+    """Reference: group pairs by invariant, then by pair certificate, and
+    keep the first pair of each group."""
+    by_inv = {}
+    for u, v in pairs:
+        by_inv.setdefault(_edge_invariant(g, u, v), []).append((u, v))
+    reps = []
+    for group in by_inv.values():
+        seen = {}
+        for u, v in group:
+            seen.setdefault(pair_cert(g, u, v), (u, v))
+        reps.extend(seen.values())
+    return sorted(reps)
+
+
+def test_orbit_reps_match_pair_cert_grouping():
+    parents = list(orderly_stream(6, lambda g: True))
+    assert len(parents) == 156
+    for g in parents:
+        non_edges = [
+            (u, v) for u in range(6) for v in range(u + 1, 6) if not g.has_edge(u, v)
+        ]
+        assert _orbit_reps(g, non_edges) == _orbit_reps_by_pair_cert(g, non_edges)
 
 
 def test_stream_is_deterministic():

@@ -214,6 +214,19 @@ def test_check_compk8_n9_reports_known_failure():
     assert failing.witness["special_exactly5"] <= 1
 
 
+def test_swept_check_records_carry_their_elapsed_time(monkeypatch):
+    # the 7-vertex corpus graph (about 60 ms); each record times its own sweep
+    import triminor.verify as verify
+
+    g = next(g for g in load_corpus() if g.n == 7)
+    monkeypatch.setattr(verify, "load_corpus", lambda: [g])
+    record, summary = run_check("lemma-compk7")
+    assert record.verdict == "pass" and summary.verdict == "pass"
+    assert record.millis > 0
+    assert '"millis": 0' in record.to_json()
+    assert f'"millis": {record.millis}' in record.to_json(timing=True)
+
+
 def test_check_compk8_rejects_bad_n():
     with pytest.raises(ValueError):
         run_check("lemma-compk8", n=7)
