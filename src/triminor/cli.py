@@ -17,8 +17,8 @@ from pathlib import Path
 from .coloring import chromatic_number
 from .generate import GenSpec, generate
 from .graph6 import parse_graph6, write_graph6
-from .graphs import Graph
-from .minors import has_clique_minor, has_minor
+from .graphs import Graph, complete
+from .minors import EXHAUSTIVE_HOST_LIMIT, has_minor
 from .reports import ReportLine, emit_report
 from .rigidity import stress_space_dim
 from .verify import CHECK_IDS, density_verdict, run_check
@@ -103,18 +103,16 @@ def _cmd_gen(args) -> tuple[list[ReportLine], list[str]]:
 
 def _cmd_minor(args) -> list[ReportLine]:
     if args.pattern.startswith("K") and args.pattern[1:].isdigit():
-        r = int(args.pattern[1:])
-        find = lambda g: has_clique_minor(g, r)
-        pattern_id = args.pattern
+        # no host may exceed EXHAUSTIVE_HOST_LIMIT vertices, so any larger
+        # clique answers as K_(limit+1) does, and is never built in full
+        pattern = complete(min(int(args.pattern[1:]), EXHAUSTIVE_HOST_LIMIT + 1))
     else:
         pattern = parse_graph6(args.pattern)
-        find = lambda g: has_minor(g, pattern)
-        pattern_id = args.pattern
     out = []
     for g in _read_graphs(args.input):
-        w = find(g)
+        w = has_minor(g, pattern)
         payload = {
-            "pattern": pattern_id,
+            "pattern": args.pattern,
             "result": "none" if w is None else "minor",
         }
         if w is not None:

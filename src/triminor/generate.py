@@ -135,10 +135,8 @@ def generate(spec: GenSpec) -> Iterator[Graph]:
     comp_budget = n * comp_cap // 2
     if spec.max_edges is not None:
         direct_budget = spec.max_edges
-    elif r is not None and r <= 7:
+    elif r is not None:
         direct_budget = max(mader_edge_cap(n, r), 0)
-    elif r == 8:
-        direct_budget = max(6 * n - 20, 0)
     else:
         direct_budget = n * (n - 1) // 2
 

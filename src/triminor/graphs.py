@@ -302,7 +302,15 @@ def complement(g: Graph) -> Graph:
 
 
 def mader_edge_cap(n: int, r: int) -> int:
-    """Maximum edge count a graph without a complete minor on r vertices can have."""
+    """Maximum edge count a graph on n vertices without a complete minor on r
+    vertices can have: (r-2)n - C(r-1, 2) for r <= 7 (Mader 1968), and
+    6n - 20 for r = 8 and n >= 8 (Jorgensen 1994), attained by
+    K_{2,2,2,2,2}.  Raises ValueError for r > 8, where the bound has
+    exceptional graphs and is not given by one formula."""
+    if r > 8:
+        raise ValueError(f"no edge cap for r={r} > 8")
+    if r == 8:
+        return 6 * n - 20
     return (r - 2) * n - comb(r - 1, 2)
 
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .canon import canonical_cert
 from .cliques import has_clique
-from .graphs import Graph, bits, complete, from_rows
+from .graphs import Graph, bits, complete, from_rows, induced, mader_edge_cap
 
 EXHAUSTIVE_HOST_LIMIT = 16
 
@@ -194,13 +195,27 @@ def _masks_to_witness(pattern: Graph, masks: list[int]) -> MinorWitness:
 
 
 def has_minor(g: Graph, h: Graph) -> MinorWitness | None:
-    """Exhaustive exact test for h as a minor of g, with witness."""
+    """Exhaustive exact test for h as a minor of g, with witness.
+
+    A complete pattern is decided by kr_minor_verdict first; its witness is
+    then a clique of g when there is one.  Complete and edgeless patterns
+    admit full branch-set interchange, so their search is symmetric and
+    their branch sets come out ordered by minimum element.
+    """
     if g.n > EXHAUSTIVE_HOST_LIMIT:
         raise ValueError(f"host has {g.n} > {EXHAUSTIVE_HOST_LIMIT} vertices")
-    # complete / empty patterns admit full branch-set interchange
-    symmetric = h.edge_count in (0, h.n * (h.n - 1) // 2)
-    masks = _search_model(g, h, symmetric=symmetric)
-    return None if masks is None else _masks_to_witness(h, masks)
+    complete_pattern = h.edge_count == comb(h.n, 2)
+    if complete_pattern:
+        if not kr_minor_verdict(g, h.n):
+            return None
+        clique = has_clique(g, h.n)
+        if clique is not None:
+            return _masks_to_witness(h, [1 << v for v in sorted(clique)])
+    masks = _search_model(g, h, symmetric=complete_pattern or h.edge_count == 0)
+    if masks is None:
+        assert not complete_pattern, "verdict and witness search disagree"
+        return None
+    return _masks_to_witness(h, masks)
 
 
 # Verdict cache for clique minors, keyed by (certificate, r).  Verdicts are
@@ -236,13 +251,16 @@ def _component_masks(adj: tuple[int, ...], alive: int) -> list[int]:
     return comps
 
 
-def _peel_for_clique(g: Graph, r: int) -> Graph:
+def _peel_for_clique(g: Graph, r: int) -> tuple[Graph, int]:
     """Shrink g without changing whether it has a complete minor on r vertices.
 
     Degree <= 1 vertices never help (their set could attach to at most one
     other, but r - 1 >= 2 attachments are needed); for r >= 4 a degree-2
     vertex can be contracted into a neighbour, since a branch set reduced to
     that single vertex could attach to at most two others.
+
+    Returns g with the contractions applied, still on its own labels, and
+    the mask of the vertices that survive; it may be empty.
     """
     rows = list(g.adj)
     alive = (1 << g.n) - 1
@@ -266,79 +284,51 @@ def _peel_for_clique(g: Graph, r: int) -> Graph:
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
                 changed = True
-    keep = bits(alive)
-    pos = {v: i for i, v in enumerate(keep)}
-    out = [0] * len(keep)
-    for i, v in enumerate(keep):
-        for w in bits(rows[v] & alive & ~(1 << v)):
-            out[i] |= 1 << pos[w]
-    return from_rows(len(keep), out)
+    return from_rows(g.n, rows), alive
 
 
-def _kr_search(g: Graph, r: int) -> bool:
-    """Exact clique-minor decision on one connected, pre-bounded graph."""
-    if g.n < r or g.edge_count < r * (r - 1) // 2:
+def _size_verdict(g: Graph, r: int) -> bool | None:
+    """False when g is too small for a complete minor on r vertices, True
+    when it is over the minor-free edge cap, None when size cannot tell."""
+    if g.n < r or g.edge_count < comb(r, 2):
         return False
-    if r <= 7 and g.n >= r and g.edge_count > (r - 2) * g.n - comb2(r - 1):
+    if r <= 7 and g.edge_count > mader_edge_cap(g.n, r):
         return True  # over the minor-free edge cap, a model must exist
-    if has_clique(g, r) is not None:
-        return True
-    return _search_model(g, complete(r), symmetric=True) is not None
-
-
-def comb2(k: int) -> int:
-    return k * (k - 1) // 2
+    return None
 
 
 def kr_minor_verdict(g: Graph, r: int) -> bool:
-    """Memoized boolean: does g have a complete minor on r vertices?"""
+    """Memoized boolean: does g have a complete minor on r vertices?
+
+    The one place that decides it.  Size and edge-cap shortcuts come first,
+    then the memo; a computed verdict peels g, splits the rest into
+    components and gives each the size tests, a clique test and, last, the
+    exhaustive symmetric search.
+    """
     if r <= 1:
         return g.n >= r
     if r == 2:
         return g.edge_count >= 1
-    if g.n < r or g.edge_count < comb2(r):
-        return False
+    known = _size_verdict(g, r)
+    if known is not None:
+        return known
     if r == 3:  # a triangle minor is exactly a cycle
         comps = _component_masks(g.adj, (1 << g.n) - 1)
         return g.edge_count > g.n - len(comps)
-    if r <= 7 and g.n >= r and g.edge_count > (r - 2) * g.n - comb2(r - 1):
-        return True  # over the minor-free edge cap
     key = (canonical_cert(g), r)
     hit = _KR_MEMO.get(key)
     if hit is not None:
         return hit
-    peeled = _peel_for_clique(g, r)
-    for comp in _component_masks(peeled.adj, (1 << peeled.n) - 1):
-        part = peeled if comp == (1 << peeled.n) - 1 else _induced_mask(peeled, comp)
-        if _kr_search(part, r):
+    peeled, alive = _peel_for_clique(g, r)
+    for comp in _component_masks(peeled.adj, alive):
+        part = induced(peeled, bits(comp))
+        found = _size_verdict(part, r)
+        if found is None:
+            found = (has_clique(part, r) is not None
+                     or _search_model(part, complete(r), symmetric=True) is not None)
+        if found:
             return _remember(key, True)
     return _remember(key, False)
-
-
-def _induced_mask(g: Graph, mask: int) -> Graph:
-    keep = bits(mask)
-    pos = {v: i for i, v in enumerate(keep)}
-    rows = [0] * len(keep)
-    for i, v in enumerate(keep):
-        for w in bits(g.adj[v] & mask):
-            rows[i] |= 1 << pos[w]
-    return from_rows(len(keep), rows)
-
-
-def has_clique_minor(g: Graph, r: int) -> MinorWitness | None:
-    """K_r-minor witness with branch sets ordered by minimum element."""
-    if g.n > EXHAUSTIVE_HOST_LIMIT:
-        raise ValueError(f"host has {g.n} > {EXHAUSTIVE_HOST_LIMIT} vertices")
-    if r >= 1 and not kr_minor_verdict(g, r):
-        return None
-    clique = has_clique(g, r)
-    if clique is not None:
-        masks = [1 << v for v in sorted(clique)]
-    else:
-        masks = _search_model(g, complete(r), symmetric=True)
-        assert masks is not None, "verdict and witness search disagree"
-        masks.sort(key=lambda m: m & -m)
-    return _masks_to_witness(complete(r), masks)
 
 
 def rooted_k3(g: Graph, a: int, b: int, c: int) -> RootedK3Outcome:
@@ -359,25 +349,12 @@ def rooted_k3(g: Graph, a: int, b: int, c: int) -> RootedK3Outcome:
 
 
 def _separates_roots(g: Graph, v: int, roots: tuple[int, ...]) -> bool:
+    """True iff no component of g - v holds two of the roots."""
     alive = (1 << g.n) - 1 & ~(1 << v)
-    seen_root = 0
-    visited = 0
-    for r in roots:
-        if r == v or visited >> r & 1:
-            continue
-        comp = 1 << r
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & alive & ~comp
-            comp |= frontier
-        visited |= comp
-        hit = sum(1 for s in roots if s != v and comp >> s & 1)
-        if hit > 1:
-            return False
-    return True
+    root_mask = sum(1 << r for r in roots) & alive
+    return all(
+        (comp & root_mask).bit_count() <= 1 for comp in _component_masks(g.adj, alive)
+    )
 
 
 def two_disjoint_paths(
@@ -458,20 +435,19 @@ def apex_augment_check(
     return survivors
 
 
-def double_apex_check(h: Graph, r: int = 8) -> bool:
-    """True iff for every 7-subset Y of V(h), adding a vertex joined to all of
-    h and a second vertex joined to Y yields a complete minor on r vertices."""
+def double_apex_check(h: Graph, r: int = 8) -> tuple[int, ...] | None:
+    """The first proper 7-subset Y of V(h) for which h plus a vertex joined
+    to all of h and a second vertex joined to Y has no complete minor on r
+    vertices, or None when every such Y yields one."""
     if h.n + 2 > EXHAUSTIVE_HOST_LIMIT:
         raise ValueError(f"augmented host would exceed {EXHAUSTIVE_HOST_LIMIT} vertices")
-    if h.n < 7:
-        return True
     for y in combinations(range(h.n), 7):
         if len(y) == h.n:
             continue  # Y must be a proper subset
         aug = attach_vertex(attach_vertex(h, range(h.n)), y)
         if not kr_minor_verdict(aug, r):
-            return False
-    return True
+            return y
+    return None
 
 
 def vertex_connectivity(g: Graph) -> int:

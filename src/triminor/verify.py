@@ -41,7 +41,6 @@ from .minors import (
     apex_augment_check,
     attach_vertex,
     double_apex_check,
-    has_clique_minor,
     has_minor,
     kr_minor_verdict,
     validate_minor_witness,
@@ -157,8 +156,7 @@ def random_kr_minor_free(
     lo = n_min if n_min is not None else r
     while True:
         n = rng.randint(lo, n_max)
-        cap = mader_edge_cap(n, r) if r <= 7 else 6 * n - 20
-        cap = max(1, min(cap, comb(n, 2)))
+        cap = max(1, min(mader_edge_cap(n, r), comb(n, 2)))
         g = random_graph(n, rng.randint(1, cap), rng)
         if not kr_minor_verdict(g, r):
             return g
@@ -196,6 +194,18 @@ def _line(check: str, input_id: str, verdict: str, witness, t0: float) -> Report
     return ReportLine(check, input_id, verdict, witness, _millis(t0))
 
 
+def _failures(out: list[ReportLine]) -> int:
+    return sum(l.verdict == "fail" for l in out)
+
+
+def _summary(check: str, out: list[ReportLine], payload, ok: bool = True) -> list[ReportLine]:
+    """Append the summary record to out and return out; it passes only if ok
+    holds and no record in out failed."""
+    ok = ok and not _failures(out)
+    out.append(ReportLine(check, "summary", "pass" if ok else "fail", payload))
+    return out
+
+
 def _check_wheels_r6(params: dict) -> list[ReportLine]:
     """Graphs on 6..7 vertices, min degree 4, no K5-minor: exactly the two
     double-axle wheels, each with 3n-6 edges and every edge in 2 triangles."""
@@ -213,12 +223,8 @@ def _check_wheels_r6(params: dict) -> list[ReportLine]:
         )
         witness = None if ok else {"graph6": write_graph6(g)}
         out.append(_line("wheels-r6", write_graph6(g), "pass" if ok else "fail", witness, t0))
-    verdict = "pass" if len(found) == 2 and not any(l.verdict == "fail" for l in out) else "fail"
-    out.append(
-        ReportLine("wheels-r6", "summary", verdict,
-                   {"count": len(found), "expected": 2})
-    )
-    return out
+    return _summary("wheels-r6", out, {"count": len(found), "expected": 2},
+                    ok=len(found) == 2)
 
 
 def _check_list22_r7(params: dict) -> list[ReportLine]:
@@ -244,12 +250,10 @@ def _check_list22_r7(params: dict) -> list[ReportLine]:
     ))
     expected = params.get("expected", 22)
     count = len(regenerated)
-    verdict = "pass" if count == expected else "fail"
     witness = {"count": count, "expected": expected}
-    if verdict == "fail":
+    if count != expected:
         witness["graphs"] = [write_graph6(g) for g in regenerated]
-    out.append(ReportLine("list22-r7", "summary", verdict, witness))
-    return out
+    return _summary("list22-r7", out, witness, ok=count == expected)
 
 
 def _compk7_survivors(g6: str) -> tuple[str, list, int]:
@@ -280,10 +284,7 @@ def _check_lemma_compk7(params: dict) -> list[ReportLine]:
             "lemma-compk7", g6, "pass" if not offenders else "fail",
             {"offending_subsets": offenders} if offenders else None, millis,
         ))
-    ok = not any(l.verdict == "fail" for l in out)
-    out.append(ReportLine("lemma-compk7", "summary", "pass" if ok else "fail",
-                          {"graphs": len(corpus)} if ok else {"failed": True}))
-    return out
+    return _summary("lemma-compk7", out, {"graphs": len(corpus), "failed": _failures(out)})
 
 
 def _special_vertices(g: Graph, exact: bool) -> int:
@@ -305,7 +306,8 @@ def _check_lemma_numberk7(params: dict) -> list[ReportLine]:
     """At most one vertex per corpus graph has every incident edge in >= 4
     triangles inside the graph."""
     out = []
-    for g in load_corpus():
+    corpus = load_corpus()
+    for g in corpus:
         t0 = time.monotonic()
         special = [
             v for v in range(g.n)
@@ -316,10 +318,7 @@ def _check_lemma_numberk7(params: dict) -> list[ReportLine]:
             "lemma-numberk7", write_graph6(g), "pass" if ok else "fail",
             {"special_vertices": special} if not ok else {"count": len(special)}, t0,
         ))
-    ok = not any(l.verdict == "fail" for l in out)
-    out.append(ReportLine("lemma-numberk7", "summary", "pass" if ok else "fail",
-                          {"failed": not ok}))
-    return out
+    return _summary("lemma-numberk7", out, {"graphs": len(corpus), "failed": _failures(out)})
 
 
 _COMPK8_EXCEPTIONS = {
@@ -340,8 +339,11 @@ def _compk8_bullets(g6: str) -> tuple[str, dict, int]:
         "special_exactly5": exact,
         "special_at_least5": at_least,
         "divergent_readings": at_least != exact,
-        "double_apex": double_apex_check(g, 8),
     }
+    subset = double_apex_check(g, 8)
+    facts["double_apex"] = subset is None
+    if subset is not None:
+        facts["double_apex_subset"] = list(subset)
     return g6, facts, _millis(t0)
 
 
@@ -378,10 +380,7 @@ def _check_lemma_compk8(params: dict) -> list[ReportLine]:
             and facts["double_apex"]
         )
         out.append(ReportLine("lemma-compk8", g6, "pass" if ok else "fail", facts, millis))
-    ok = not any(l.verdict == "fail" for l in out)
-    out.append(ReportLine("lemma-compk8", "summary", "pass" if ok else "fail",
-                          {"n": n, "graphs": len(graphs)}))
-    return out
+    return _summary("lemma-compk8", out, {"n": n, "graphs": len(graphs)})
 
 
 def _check_claim_2edge_p10(params: dict) -> list[ReportLine]:
@@ -404,7 +403,7 @@ def _check_claim_2edge_p10(params: dict) -> list[ReportLine]:
         t0 = time.monotonic()
         added = [tuple(sorted(e)) for e in pair]
         aug = make_graph(10, pc.edges() + added)
-        w = has_clique_minor(aug, 7)
+        w = has_minor(aug, complete(7))
         ok = w is not None
         if ok:
             validate_minor_witness(aug, w)
@@ -421,17 +420,14 @@ def _check_claim_2edge_p10(params: dict) -> list[ReportLine]:
         triple_count += 1
         t0 = time.monotonic()
         aug = make_graph(10, pc.edges() + list(triple))
-        w = has_clique_minor(aug, 7)
+        w = has_minor(aug, complete(7))
         ok = w is not None
         if ok:
             validate_minor_witness(aug, w)
         if not ok:
             out.append(_line("claim-2edgeP10", f"triple:{triple}", "fail",
                              {"added": triple}, t0))
-    ok = not any(l.verdict == "fail" for l in out)
-    out.append(ReportLine("claim-2edgeP10", "summary", "pass" if ok else "fail",
-                          {"pairs": len(pairs), "triples": triple_count}))
-    return out
+    return _summary("claim-2edgeP10", out, {"pairs": len(pairs), "triples": triple_count})
 
 
 def _check_claim_p10_subgraphs(params: dict) -> list[ReportLine]:
@@ -459,16 +455,13 @@ def _edge_addition_check(
     for added in additions:
         t0 = time.monotonic()
         aug = make_graph(base.n, base.edges() + added)
-        w = has_clique_minor(aug, r)
+        w = has_minor(aug, complete(r))
         ok = w is not None
         if ok:
             validate_minor_witness(aug, w)
         out.append(_line(check, f"added:{added}", "pass" if ok else "fail",
                          {"added": added} if not ok else None, t0))
-    ok = not any(l.verdict == "fail" for l in out)
-    out.append(ReportLine(check, "summary", "pass" if ok else "fail",
-                          {"cases": len(additions)}))
-    return out
+    return _summary(check, out, {"cases": len(additions)})
 
 
 def _check_k2222_two_edges(params: dict) -> list[ReportLine]:
@@ -520,10 +513,7 @@ def _check_density_ktree(params: dict) -> list[ReportLine]:
                 bad.append({"k": k, "n": n, "graph6": write_graph6(g)})
         out.append(_line("density-ktree", f"k={k}", "pass" if not bad else "fail",
                          {"violations": bad} if bad else {"samples": per_k}, t0))
-    ok = not any(l.verdict == "fail" for l in out)
-    out.append(ReportLine("density-ktree", "summary", "pass" if ok else "fail",
-                          {"per_k": per_k}))
-    return out
+    return _summary("density-ktree", out, {"per_k": per_k})
 
 
 def _density_sample(args: tuple[int, int, int]) -> tuple[int, str, bool]:
@@ -589,10 +579,7 @@ def _check_coloring_bound(params: dict) -> list[ReportLine]:
             "pass" if not bad else "fail",
             {"violations": bad} if bad else {"samples": samples}, t0,
         ))
-    ok = not any(l.verdict == "fail" for l in out)
-    out.append(ReportLine("coloring-bound", "summary", "pass" if ok else "fail",
-                          {"samples": samples}))
-    return out
+    return _summary("coloring-bound", out, {"samples": samples})
 
 
 def _check_split_recognizer(params: dict) -> list[ReportLine]:
@@ -612,10 +599,7 @@ def _check_split_recognizer(params: dict) -> list[ReportLine]:
         out.append(_line("split-recognizer", name, "pass" if got == expected else "fail",
                          {"expected": expected, "got": got} if got != expected else None,
                          t0))
-    ok = not any(l.verdict == "fail" for l in out)
-    out.append(ReportLine("split-recognizer", "summary", "pass" if ok else "fail",
-                          {"cases": len(cases)}))
-    return out
+    return _summary("split-recognizer", out, {"cases": len(cases)})
 
 
 def _check_alpha_inequality(params: dict) -> list[ReportLine]:
@@ -634,10 +618,7 @@ def _check_alpha_inequality(params: dict) -> list[ReportLine]:
         out.append(_line("alpha-inequality", name, "pass" if got == expected else "fail",
                          {"expected": expected, "got": got} if got != expected else None,
                          t0))
-    ok = not any(l.verdict == "fail" for l in out)
-    out.append(ReportLine("alpha-inequality", "summary", "pass" if ok else "fail",
-                          {"cases": len(cases)}))
-    return out
+    return _summary("alpha-inequality", out, {"cases": len(cases)})
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,12 @@ def test_criterion_07_neighbourhoods_of_degree11():
         and facts["special_exactly5"] <= 1
         and facts["double_apex"] is False
     )
+    # the reported 7-subset, re-checked by the oracle on the record's own graph
+    reported_no_k8 = False
+    if facts is not None and "double_apex_subset" in facts:
+        g = parse_graph6(failing.input)
+        aug = attach_vertex(attach_vertex(g, range(g.n)), facts["double_apex_subset"])
+        reported_no_k8 = kr_minor_brute(aug, 8) is False
     edge_triangles = {triangles_on_edge_brute(h, u, v) for u, v in h.edges()}
     # double-apex re-derived on the natural labelling, oracle against kernel
     memo: dict = {}
@@ -228,11 +234,13 @@ def test_criterion_07_neighbourhoods_of_degree11():
             disagree.append(y)
         if not verdict:
             no_k8.append(y)
-    ok = (only_c3c6 and only_double_apex and edge_triangles <= {3, 4}
+    ok = (only_c3c6 and only_double_apex and reported_no_k8
+          and edge_triangles <= {3, 4}
           and not disagree and no_k8 == _C3C6_NO_K8_SUBSETS)
     _report(7, ok, "; ".join(details) + f"; sole failure is complement of "
                    f"C3+C6={only_c3c6}, fails only double-apex="
-                   f"{only_double_apex}, edge triangles={sorted(edge_triangles)}, "
+                   f"{only_double_apex}, reported subset has no K8={reported_no_k8}, "
+                   f"edge triangles={sorted(edge_triangles)}, "
                    f"oracle/kernel disagreements={len(disagree)}, "
                    f"subsets without K8={no_k8}")
     assert only_c3c6, (
@@ -240,6 +248,9 @@ def test_criterion_07_neighbourhoods_of_degree11():
         f"at n=9; got {[(n, [l.input for l in f]) for n, f in fails.items()]}"
     )
     assert only_double_apex, f"it must fail the double-apex bullet alone: {facts}"
+    assert reported_no_k8, (
+        f"the reported double-apex subset must leave no K8 minor: {facts}"
+    )
     assert edge_triangles <= {3, 4}, (
         "every edge of the complement of C3+C6 must lie in 3 or 4 triangles"
     )

@@ -40,6 +40,21 @@ def test_minor_witness_fields():
     assert list(recs[0]) == ["check", "input", "verdict", "witness", "millis"]
 
 
+def test_minor_complete_pattern_by_name_or_graph6_gives_one_witness():
+    # K5 given as graph6 takes the same clique-first path as --pattern K5
+    host = "I]~v~z~~o"
+    by_name = records(run_cli(["minor", "--pattern", "K5", host]).stdout)[0]
+    by_g6 = records(run_cli(["minor", "--pattern", "D~{", host]).stdout)[0]
+    assert by_name["witness"]["branch_sets"] == [[1], [3], [5], [7], [9]]
+    assert by_g6["witness"]["branch_sets"] == by_name["witness"]["branch_sets"]
+
+
+def test_minor_clique_pattern_larger_than_any_host():
+    proc = run_cli(["minor", "--pattern", "K100000", "I]~v~z~~o"])
+    assert proc.returncode == 0
+    assert records(proc.stdout)[0]["witness"]["result"] == "none"
+
+
 def test_triangles_cap_on_minor_free_input():
     # K6-minor-free corpus members are K7-minor-free, so an edge at a vertex
     # of degree <= 9 lies in at most 4 triangles

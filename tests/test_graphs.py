@@ -13,6 +13,7 @@ from triminor.graphs import (
     k_tree,
     make_graph,
     mader_bound_check,
+    mader_edge_cap,
     min_triangle_edge,
     named_graph,
     petersen,
@@ -208,3 +209,11 @@ def test_mader_bound_check():
         mader_bound_check(complete(4), 7)
     with pytest.raises(ValueError):
         mader_bound_check(complete(8), 8)
+
+
+def test_mader_edge_cap_up_to_k8():
+    assert mader_edge_cap(6, 7) == complete(6).edge_count
+    # K_{2,2,2,2,2} has no K8 minor and 6n - 20 edges: the r = 8 cap is tight
+    assert mader_edge_cap(10, 8) == complete_multipartite(2, 2, 2, 2, 2).edge_count
+    with pytest.raises(ValueError):
+        mader_edge_cap(10, 9)

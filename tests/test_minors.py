@@ -1,9 +1,13 @@
 import itertools
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    graph_from_code,
     kr_minor_brute,
     random_graph_for_tests,
     two_disjoint_paths_brute,
@@ -21,8 +25,8 @@ from triminor.graphs import (
 from triminor.minors import (
     MinorWitness,
     apex_augment_check,
+    attach_vertex,
     double_apex_check,
-    has_clique_minor,
     has_minor,
     kr_minor_verdict,
     rooted_k3,
@@ -49,14 +53,14 @@ def test_k22222_no_k8():
 def test_clique_minor_on_k7_minus_edge():
     edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if (u, v) != (0, 1)]
     g = make_graph(7, edges)
-    assert has_clique_minor(g, 7) is None
-    w = has_clique_minor(g, 6)
+    assert has_minor(g, complete(7)) is None
+    w = has_minor(g, complete(6))
     assert w is not None
     validate_minor_witness(g, w)
 
 
 def test_clique_minor_branch_sets_ordered_by_minimum():
-    w = has_clique_minor(petersen(), 5)
+    w = has_minor(petersen(), complete(5))
     mins = [min(s) for s in w.branch_sets]
     assert mins == sorted(mins)
 
@@ -66,18 +70,18 @@ def test_k2222_plus_two_edges_has_k7():
     missing = [(0, 1), (2, 3), (4, 5), (6, 7)]
     for pair in itertools.combinations(missing, 2):
         aug = make_graph(8, base.edges() + list(pair))
-        w = has_clique_minor(aug, 7)
+        w = has_minor(aug, complete(7))
         assert w is not None
         validate_minor_witness(aug, w)
     # one added edge is not enough
     one = make_graph(8, base.edges() + [missing[0]])
-    assert has_clique_minor(one, 7) is None
+    assert has_minor(one, complete(7)) is None
 
 
 def test_k333_plus_disjoint_edges_has_k7():
     base = complete_multipartite(3, 3, 3)
     aug = make_graph(9, base.edges() + [(0, 1), (3, 4)])
-    w = has_clique_minor(aug, 7)
+    w = has_minor(aug, complete(7))
     assert w is not None
     validate_minor_witness(aug, w)
 
@@ -201,16 +205,21 @@ def test_apex_augment_k6():
 
 
 def test_double_apex_small_and_exceptional():
-    assert double_apex_check(complete(5), 8) is True  # no 7-subsets: vacuous
+    assert double_apex_check(complete(5), 8) is None  # no 7-subsets: vacuous
+    assert double_apex_check(complete(7), 8) is None  # Y must be proper
     # the 8-vertex exceptional graph genuinely fails, which is why the
-    # structural lemma exempts it
-    assert double_apex_check(complete_multipartite(2, 2, 2, 2), 8) is False
+    # structural lemma exempts it; the first 7-subset already does
+    k2222 = complete_multipartite(2, 2, 2, 2)
+    y = double_apex_check(k2222, 8)
+    assert y == (0, 1, 2, 3, 4, 5, 6)
+    aug = attach_vertex(attach_vertex(k2222, range(8)), y)
+    assert kr_minor_brute(aug, 8) is False
     k8_minus_3m = make_graph(
         8,
         [(u, v) for u in range(8) for v in range(u + 1, 8)
          if (u, v) not in [(0, 1), (2, 3), (4, 5)]],
     )
-    assert double_apex_check(k8_minus_3m, 8) is True
+    assert double_apex_check(k8_minus_3m, 8) is None
 
 
 def test_minor_monotone_under_contraction():
@@ -234,6 +243,29 @@ def test_verdict_matches_contraction_oracle_random():
         g = random_graph_for_tests(rng.randint(3, 8), rng, p=rng.uniform(0.2, 0.9))
         for r in (3, 4, 5, 6):
             assert kr_minor_verdict(g, r) == kr_minor_brute(g, r, memo)
+
+
+def test_verdict_false_when_peel_empties_the_graph():
+    path = make_graph(8, [(i, i + 1) for i in range(7)])
+    assert kr_minor_verdict(path, 4) is False
+    assert has_minor(path, complete(4)) is None
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 8))
+    return graph_from_code(n, draw(st.integers(0, (1 << comb(n, 2)) - 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(small_graphs(), st.integers(3, 6))
+def test_verdict_and_witness_match_contraction_oracle(g, r):
+    verdict = kr_minor_verdict(g, r)
+    assert verdict == kr_minor_brute(g, r)
+    w = has_minor(g, complete(r))
+    assert (w is not None) == verdict
+    if w is not None:
+        validate_minor_witness(g, w)
 
 
 def test_host_size_limits():

@@ -172,6 +172,7 @@ def test_check_numberk7():
     lines = run_check("lemma-numberk7")
     assert summarize(lines)["failures"] == 0
     assert len(lines) == len(load_corpus()) + 1
+    assert lines[-1].witness == {"graphs": len(load_corpus()), "failed": 0}
 
 
 def test_check_list22_reports_honest_count():
@@ -210,6 +211,7 @@ def test_check_compk8_n9_reports_known_failure():
     comp = complement(parse_graph6(failing.input))
     assert sorted(comp.degree_sequence()) == [2] * 9
     assert failing.witness["double_apex"] is False
+    assert len(failing.witness["double_apex_subset"]) == 7
     assert failing.witness["connectivity"] >= 5
     assert failing.witness["special_exactly5"] <= 1
 
@@ -222,9 +224,21 @@ def test_swept_check_records_carry_their_elapsed_time(monkeypatch):
     monkeypatch.setattr(verify, "load_corpus", lambda: [g])
     record, summary = run_check("lemma-compk7")
     assert record.verdict == "pass" and summary.verdict == "pass"
+    assert summary.witness == {"graphs": 1, "failed": 0}
     assert record.millis > 0
     assert '"millis": 0' in record.to_json()
     assert f'"millis": {record.millis}' in record.to_json(timing=True)
+
+
+def test_summary_fails_on_any_failed_record_or_false_ok():
+    from triminor.reports import ReportLine
+    from triminor.verify import _summary
+
+    passed = ReportLine("c", "a", "pass", None)
+    failed = ReportLine("c", "b", "fail", {"x": 1})
+    assert _summary("c", [passed], {"n": 1})[-1] == ReportLine("c", "summary", "pass", {"n": 1})
+    assert _summary("c", [passed, failed], {"n": 2})[-1].verdict == "fail"
+    assert _summary("c", [passed], {"n": 1}, ok=False)[-1].verdict == "fail"
 
 
 def test_check_compk8_rejects_bad_n():
