@@ -7,8 +7,10 @@ are disjoint, each induces a connected subgraph of g, and every edge of h is
 realised by at least one host edge between the corresponding sets.  The
 search places branch sets one pattern vertex at a time, enumerating candidate
 connected subsets of the unused vertices and pruning on vertex budget and on
-required adjacency to already-placed sets.  Hosts stay at or below 16
-vertices, where this exhaustive search is fast.
+required adjacency to already-placed sets.  Complete minors are decided by a
+narrower search: on a connected host the branch sets can be taken to
+partition the vertices (see _partition_model).  Hosts stay at or below 16
+vertices, where these exhaustive searches are fast.
 """
 
 from __future__ import annotations
@@ -72,17 +74,11 @@ def validate_minor_witness(g: Graph, w: MinorWitness) -> None:
 
 
 def _search_model(
-    g: Graph,
-    h: Graph,
-    roots: tuple[int, ...] | None = None,
-    symmetric: bool = False,
+    g: Graph, h: Graph, roots: tuple[int, ...] | None = None
 ) -> list[int] | None:
     """Branch-set masks realising h in g, or None.
 
     roots: when given, branch set i must contain roots[i].
-    symmetric: break symmetry by strictly increasing branch-set minima
-    (sound only when every pattern-vertex permutation is an automorphism,
-    e.g. complete patterns).
 
     Pruning: per-set growth budget from the remaining vertex pool, required
     adjacency to placed sets checked during growth, and placed sets that
@@ -115,7 +111,7 @@ def _search_model(
     if roots is not None:
         root_mask = sum(1 << r for r in roots)
 
-    def place(i: int, free: int, prev_min: int) -> bool:
+    def place(i: int, free: int) -> bool:
         if i == p:
             return True
         spare = free.bit_count() - (p - i)
@@ -148,8 +144,7 @@ def _search_model(
                 if ok:
                     sets[i] = s_mask
                     zones[i] = zone_i
-                    start = s_mask & -s_mask
-                    if place(i + 1, rest, start.bit_length() - 1):
+                    if place(i + 1, rest):
                         return True
             if not budget:
                 return False
@@ -171,8 +166,6 @@ def _search_model(
             later_roots = root_mask & ~(1 << r) & free
             return grow(1 << r, adj[r], free & ~(1 << r) & ~later_roots, spare)
         starts = free
-        if symmetric:
-            starts &= ~((1 << (prev_min + 1)) - 1)
         while starts:
             low = starts & -starts
             starts ^= low
@@ -182,12 +175,70 @@ def _search_model(
                 return True
         return False
 
-    if place(0, (1 << n) - 1, -1):
+    if place(0, (1 << n) - 1):
         out = [0] * p
         for i in range(p):
             out[order[i]] = sets[i]
         return out
     return None
+
+
+def _partition_model(adj: tuple[int, ...], within: int, p: int) -> list[int] | None:
+    """Branch-set masks of a complete minor on p vertices that partition the
+    connected vertex set `within`, or None when it has no such minor.
+
+    A vertex outside every branch set can join a set it is adjacent to, so
+    a connected host has the minor iff its vertices split into p connected,
+    pairwise adjacent parts.  Sorted by minimum vertex, part i holds the
+    lowest uncovered vertex; the uncovered rest stays connected, since the
+    parts still to place are pairwise adjacent; and every placed part keeps
+    a neighbour in each of them.
+    """
+    if within.bit_count() < p:
+        return None
+    parts = [0] * p
+    zones = [0] * p  # host neighbourhood of each placed part
+
+    def place(i: int, rest: int) -> bool:
+        if i == p - 1:
+            parts[i] = rest
+            return True
+        after = p - 1 - i  # parts still to place once part i is
+        placed = zones[:i]
+
+        def grow(s: int, nbhd: int, allowed: int, budget: int) -> bool:
+            left = rest & ~s
+            met = True
+            for z in placed:
+                if (z & left).bit_count() < after:
+                    return False  # left only shrinks as s grows
+                if not s & z:
+                    if not allowed & z:
+                        return False
+                    met = False
+            if (met and (nbhd & left).bit_count() >= after
+                    and _reach(adj, left & -left, left) == left):
+                parts[i] = s
+                zones[i] = nbhd
+                if place(i + 1, left):
+                    return True
+            if not budget:
+                return False
+            ext = nbhd & allowed
+            local = allowed
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                local &= ~low
+                if grow(s | low, nbhd | adj[low.bit_length() - 1], local, budget - 1):
+                    return True
+            return False
+
+        low = rest & -rest
+        return grow(low, adj[low.bit_length() - 1], rest & ~low,
+                    rest.bit_count() - after - 1)
+
+    return parts if place(0, within) else None
 
 
 def _masks_to_witness(pattern: Graph, masks: list[int]) -> MinorWitness:
@@ -198,24 +249,24 @@ def has_minor(g: Graph, h: Graph) -> MinorWitness | None:
     """Exhaustive exact test for h as a minor of g, with witness.
 
     A complete pattern is decided by kr_minor_verdict first; its witness is
-    then a clique of g when there is one.  Complete and edgeless patterns
-    admit full branch-set interchange, so their search is symmetric and
-    their branch sets come out ordered by minimum element.
+    then a clique of g when there is one, else branch sets that partition a
+    component of g, ordered by minimum element.
     """
     if g.n > EXHAUSTIVE_HOST_LIMIT:
         raise ValueError(f"host has {g.n} > {EXHAUSTIVE_HOST_LIMIT} vertices")
-    complete_pattern = h.edge_count == comb(h.n, 2)
-    if complete_pattern:
-        if not kr_minor_verdict(g, h.n):
-            return None
-        clique = has_clique(g, h.n)
-        if clique is not None:
-            return _masks_to_witness(h, [1 << v for v in sorted(clique)])
-    masks = _search_model(g, h, symmetric=complete_pattern or h.edge_count == 0)
-    if masks is None:
-        assert not complete_pattern, "verdict and witness search disagree"
+    if h.edge_count < comb(h.n, 2):
+        masks = _search_model(g, h)
+        return None if masks is None else _masks_to_witness(h, masks)
+    if not kr_minor_verdict(g, h.n):
         return None
-    return _masks_to_witness(h, masks)
+    clique = has_clique(g, h.n)
+    if clique is not None:
+        return _masks_to_witness(h, [1 << v for v in sorted(clique)])
+    for comp in _component_masks(g.adj, (1 << g.n) - 1):
+        masks = _partition_model(g.adj, comp, h.n)
+        if masks is not None:
+            return _masks_to_witness(h, masks)
+    raise AssertionError("verdict and witness search disagree")
 
 
 # Verdict cache for clique minors, keyed by (certificate, r).  Verdicts are
@@ -231,21 +282,25 @@ def _remember(key: tuple[bytes, int], verdict: bool) -> bool:
     return verdict
 
 
+def _reach(adj: tuple[int, ...], start: int, within: int) -> int:
+    """Mask of the vertices of `within` reachable from the mask `start`."""
+    seen = frontier = start
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= adj[low.bit_length() - 1]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
 def _component_masks(adj: tuple[int, ...], alive: int) -> list[int]:
     comps = []
     left = alive
     while left:
-        comp = left & -left
-        frontier = comp
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                m ^= low
-                nxt |= adj[low.bit_length() - 1]
-            frontier = nxt & left & ~comp
-            comp |= frontier
+        comp = _reach(adj, left & -left, left)
         comps.append(comp)
         left &= ~comp
     return comps
@@ -303,7 +358,8 @@ def kr_minor_verdict(g: Graph, r: int) -> bool:
     The one place that decides it.  Size and edge-cap shortcuts come first,
     then the memo; a computed verdict peels g, splits the rest into
     components and gives each the size tests, a clique test and, last, the
-    exhaustive symmetric search.
+    exhaustive search for a partition into connected, pairwise adjacent
+    parts.
     """
     if r <= 1:
         return g.n >= r
@@ -325,7 +381,7 @@ def kr_minor_verdict(g: Graph, r: int) -> bool:
         found = _size_verdict(part, r)
         if found is None:
             found = (has_clique(part, r) is not None
-                     or _search_model(part, complete(r), symmetric=True) is not None)
+                     or _partition_model(part.adj, (1 << part.n) - 1, r) is not None)
         if found:
             return _remember(key, True)
     return _remember(key, False)
@@ -468,40 +524,42 @@ def vertex_connectivity(g: Graph) -> int:
 
 
 def _max_vertex_flow(g: Graph, s: int, t: int, cap: int) -> int:
-    """Internally disjoint s-t paths by unit-capacity augmentation on the
-    split digraph (v_in = v, v_out = v + n)."""
-    n = g.n
-    arcs: dict[tuple[int, int], int] = {}
-    for v in range(n):
-        if v != s and v != t:
-            arcs[(v, v + n)] = 1
-    for u in range(n):
-        for v in bits(g.adj[u]):
-            arcs[(u + n, v)] = 1
-            arcs[(v + n, u)] = 1
-    arcs[(s, s + n)] = g.n
-    arcs[(t, t + n)] = g.n
-    flow = 0
-    while flow < cap:
-        parent: dict[int, tuple[int, int]] = {s: (-1, -1)}
-        queue = [s]
-        reached = False
-        while queue and not reached:
-            u = queue.pop(0)
-            for (a, b), c in arcs.items():
-                if a == u and c > 0 and b not in parent:
-                    parent[b] = (a, b)
-                    if b == t + n:
-                        reached = True
-                        break
-                    queue.append(b)
-        if t + n not in parent:
-            break
-        node = t + n
-        while node != s:
-            a, b = parent[node]
-            arcs[(a, b)] -= 1
-            arcs[(b, a)] = arcs.get((b, a), 0) + 1
-            node = a
-        flow += 1
-    return flow
+    """Internally disjoint s-t paths, up to cap, by augmenting paths in the
+    split digraph: vertex v becomes the arc v_in -> v_out (capacity one,
+    unbounded at s and t) and edge uv the arcs u_out -> v_in, v_out -> u_in.
+    flow[u] masks the w with a unit on u_out -> w_in; `full` masks the
+    vertices whose own arc carries one.  Node (v, 0) is v_in, (v, 1) v_out.
+    """
+    flow = [0] * g.n
+    full = 0
+    for paths in range(cap):
+        back = {(s, 1): None}  # BFS tree from s_out: node -> parent
+        queue = [(s, 1)]
+        for v, side in queue:
+            if side:
+                steps = [(w, 0) for w in bits(g.adj[v] & ~flow[v])]
+                if full >> v & 1:
+                    steps.append((v, 0))
+            else:
+                steps = [(u, 1) for u in bits(g.adj[v]) if flow[u] >> v & 1]
+                if not full >> v & 1:
+                    steps.append((v, 1))
+            for node in steps:
+                if node not in back:
+                    back[node] = (v, side)
+                    queue.append(node)
+            if (t, 0) in back:
+                break
+        else:
+            return paths
+        node = (t, 0)
+        while back[node] is not None:
+            (a, side), (b, _) = back[node], node
+            if a == b:
+                full ^= 1 << a  # the vertex arc, forwards or back
+            elif side:
+                flow[a] |= 1 << b
+            else:
+                flow[b] &= ~(1 << a)  # cancel the unit on b_out -> a_in
+            node = back[node]
+    return cap

@@ -10,6 +10,7 @@ graph, subset, or edge pair responsible.
 from __future__ import annotations
 
 import random
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -356,6 +357,10 @@ def _check_lemma_compk8(params: dict) -> list[ReportLine]:
     n = int(params.get("n", 8))
     if n not in (8, 9, 10, 11):
         raise ValueError(f"lemma-compk8 takes n in 8..11, got {n}")
+    if n == 11:
+        print("lemma-compk8 --n 11 runs long: the complement-side stream alone "
+              "has 868,311 classes, which took 688 s on a 2-core machine, and "
+              "each class then gets one minor query", file=sys.stderr)
     out = []
     graphs = list(generate(GenSpec(n, min_degree=6, prune="K7")))
     exc_name, exc_graph, exc_tri = _COMPK8_EXCEPTIONS.get(n, (None, None, None))

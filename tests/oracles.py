@@ -144,6 +144,25 @@ def vertex_connectivity_brute(g: Graph) -> int:
     return g.n - 1
 
 
+def st_separator_brute(g: Graph, s: int, t: int) -> int:
+    """Fewest vertices, other than s and t, whose deletion leaves no s-t
+    path, by exhaustive subset enumeration (s and t non-adjacent)."""
+    others = [v for v in range(g.n) if v not in (s, t)]
+    for k in range(len(others) + 1):
+        for cut in itertools.combinations(others, k):
+            seen = {s, *cut}
+            todo = [s]
+            while todo:
+                u = todo.pop()
+                for w in range(g.n):
+                    if w not in seen and g.has_edge(u, w):
+                        seen.add(w)
+                        todo.append(w)
+            if t not in seen:
+                return k
+    raise ValueError(f"{s} and {t} are adjacent")
+
+
 def is_split_brute(g: Graph) -> bool:
     """Try every vertex bipartition into a clique and an independent set."""
     for mask in range(1 << g.n):

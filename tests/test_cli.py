@@ -154,9 +154,18 @@ def test_every_check_reachable_from_cli(check_id):
     assert all(r["check"] == check_id for r in recs)
 
 
-def test_lemma_compk7_reachable_from_cli_with_workers():
-    # full sweep is exercised in the acceptance suite; here just prove the
-    # CLI path works end to end on the parallel executor
-    proc = run_cli(["verify", "--check", "lemma-compk7", "--workers", "4"])
-    assert proc.returncode == 0
-    assert records(proc.stdout)[-1]["verdict"] == "pass"
+def test_lemma_compk7_reachable_from_cli_with_workers(monkeypatch, capsys):
+    # the full sweep runs in the acceptance suite; two corpus graphs are
+    # enough to send the CLI through the worker pool
+    import triminor.verify as verify
+
+    corpus = load_corpus()[:2]
+    monkeypatch.setattr(verify, "load_corpus", lambda: corpus)
+    outputs = []
+    for workers in ("1", "2"):
+        assert main(["verify", "--check", "lemma-compk7", "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    recs = records(outputs[1])
+    assert [r["verdict"] for r in recs] == ["pass"] * 3
+    assert recs[-1]["witness"] == {"graphs": 2, "failed": 0}

@@ -10,6 +10,7 @@ from oracles import (
     graph_from_code,
     kr_minor_brute,
     random_graph_for_tests,
+    st_separator_brute,
     two_disjoint_paths_brute,
     vertex_connectivity_brute,
 )
@@ -18,12 +19,15 @@ from triminor.graphs import (
     complete,
     complete_multipartite,
     contract_edge,
+    from_rows,
+    mader_edge_cap,
     make_graph,
     petersen,
     petersen_complement,
 )
 from triminor.minors import (
     MinorWitness,
+    _max_vertex_flow,
     apex_augment_check,
     attach_vertex,
     double_apex_check,
@@ -197,6 +201,24 @@ def test_vertex_connectivity_matches_brute_force():
         assert vertex_connectivity(g) == vertex_connectivity_brute(g)
 
 
+def test_max_vertex_flow_matches_smallest_separator():
+    # Menger: a non-adjacent pair has as many internally disjoint paths as
+    # its smallest separator has vertices.  In the first two hosts the last
+    # augmenting path must reroute an earlier path, through a reversed edge
+    # arc and through a reversed vertex arc respectively.
+    cases = [
+        (from_rows(11, (32, 344, 1280, 1682, 170, 1425, 130, 120, 1574, 1288, 812)), 7, 8),
+        (from_rows(10, (34, 21, 514, 32, 130, 841, 544, 272, 160, 100)), 4, 6),
+    ]
+    rng = random.Random(27)
+    for _ in range(30):
+        g = random_graph_for_tests(rng.randint(8, 10), rng, p=rng.uniform(0.15, 0.6))
+        cases += [(g, s, t) for s, t in itertools.combinations(range(g.n), 2)
+                  if not g.has_edge(s, t)]
+    for g, s, t in cases:
+        assert _max_vertex_flow(g, s, t, g.n) == st_separator_brute(g, s, t)
+
+
 def test_apex_augment_k6():
     report = apex_augment_check(complete(6), 6, 7)
     assert 6 not in report  # joining to everything builds the full clique
@@ -243,6 +265,27 @@ def test_verdict_matches_contraction_oracle_random():
         g = random_graph_for_tests(rng.randint(3, 8), rng, p=rng.uniform(0.2, 0.9))
         for r in (3, 4, 5, 6):
             assert kr_minor_verdict(g, r) == kr_minor_brute(g, r, memo)
+
+
+def test_verdict_matches_contraction_oracle_near_edge_cap():
+    # at most mader_edge_cap edges, so the cap cannot answer: the peel,
+    # the clique test or the partition search decides each graph
+    rng = random.Random(26)
+    verdicts, contracted = [], 0
+    for _ in range(40):
+        n, r = rng.choice((9, 10)), rng.choice((6, 7))
+        m = mader_edge_cap(n, r) - rng.randint(0, 4)
+        g = make_graph(n, rng.sample(list(itertools.combinations(range(n), 2)), m))
+        verdict = kr_minor_verdict(g, r)
+        assert verdict == kr_minor_brute(g, r)
+        w = has_minor(g, complete(r))
+        assert (w is not None) == verdict
+        if w is not None:
+            validate_minor_witness(g, w)
+            contracted += any(len(s) > 1 for s in w.branch_sets)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+    assert contracted > 0
 
 
 def test_verdict_false_when_peel_empties_the_graph():

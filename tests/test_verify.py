@@ -1,10 +1,17 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from oracles import independence_number_brute, is_split_brute, random_graph_for_tests
+from oracles import (
+    independence_number_brute,
+    is_split_brute,
+    kr_minor_brute,
+    random_graph_for_tests,
+)
 from triminor.canon import canonical_cert
+from triminor.graph6 import parse_graph6
 from triminor.graphs import (
     complete,
     complete_multipartite,
@@ -12,7 +19,7 @@ from triminor.graphs import (
     make_graph,
     total_triangles,
 )
-from triminor.minors import kr_minor_verdict
+from triminor.minors import attach_vertex, kr_minor_verdict
 from triminor.reports import summarize
 from triminor.verify import (
     CHECK_IDS,
@@ -239,6 +246,38 @@ def test_summary_fails_on_any_failed_record_or_false_ok():
     assert _summary("c", [passed], {"n": 1})[-1] == ReportLine("c", "summary", "pass", {"n": 1})
     assert _summary("c", [passed, failed], {"n": 2})[-1].verdict == "fail"
     assert _summary("c", [passed], {"n": 1}, ok=False)[-1].verdict == "fail"
+
+
+def test_compk7_apex_verdicts_match_contraction_oracle():
+    # every apex augmentation (|S| <= 6) of the two smallest corpus graphs,
+    # 372 hosts on 9-10 vertices: both verdicts must match the oracle, so a
+    # kernel that over-reports minors fails here, not only one that misses
+    memo = {}
+    verdicts = []
+    for g6 in ("F]~vw", "GFzf~w"):
+        g = parse_graph6(g6)
+        host = attach_vertex(g, range(g.n))
+        for k in range(1, 7):
+            for subset in combinations(range(g.n), k):
+                aug = attach_vertex(host, subset)
+                verdict = kr_minor_verdict(aug, 7)
+                assert verdict == kr_minor_brute(aug, 7, memo), (g6, subset)
+                verdicts.append(verdict)
+    assert len(verdicts) == 372
+    assert verdicts.count(False) == 100
+
+
+def test_lemma_compk8_warns_that_n11_runs_long(monkeypatch, capsys):
+    import triminor.verify as verify
+
+    monkeypatch.setattr(verify, "generate", lambda spec: iter(()))
+    assert run_check("lemma-compk8", n=11)[-1].witness == {"n": 11, "graphs": 0}
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "868,311 classes" in captured.err and "688 s" in captured.err
+    run_check("lemma-compk8", n=10)
+    assert capsys.readouterr().err == ""
 
 
 def test_check_compk8_rejects_bad_n():
