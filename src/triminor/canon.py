@@ -150,6 +150,17 @@ def pair_cert(g: Graph, u: int, v: int) -> bytes:
     return key.to_bytes(nbytes, "big")
 
 
+def automorphisms(g: Graph, cells: list[list[int]]) -> list[list[int]]:
+    """Permutations generating the automorphisms of g that map every cell
+    onto itself, from one canonical search.
+
+    `cells` partitions V(g) into non-empty lists; perm[v] is the image of v.
+    """
+    autos: list[list[int]] = []
+    _min_key(g, cells, autos)
+    return autos
+
+
 def pair_orbits(g: Graph, pairs: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
     """Automorphism orbits of the vertex pairs `pairs`, from one search.
 
@@ -157,8 +168,7 @@ def pair_orbits(g: Graph, pairs: list[tuple[int, int]]) -> list[list[tuple[int, 
     non-edges, or all pairs, say).  Each orbit lists its pairs in input
     order, and the orbits come in the order of their first pair.
     """
-    autos: list[list[int]] = []
-    _min_key(g, [list(range(g.n))], autos)
+    autos = automorphisms(g, [list(range(g.n))])
     index = {pair: i for i, pair in enumerate(pairs)}
     parent = list(range(len(pairs)))
 

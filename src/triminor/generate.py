@@ -44,6 +44,8 @@ class GenSpec:
             raise ValueError(f"unknown prune id {self.prune!r}, have {PRUNE_IDS}")
         if not 1 <= self.n <= 64:
             raise ValueError(f"n={self.n} outside 1..64")
+        if self.max_edges is not None and self.max_edges < 0:
+            raise ValueError(f"max_edges {self.max_edges} is negative")
         if self.min_degree >= self.n:
             raise ValueError(f"min_degree {self.min_degree} infeasible for n={self.n}")
         if self.prune != "none" and self.n > EXHAUSTIVE_HOST_LIMIT:

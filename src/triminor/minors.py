@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .canon import canonical_cert
+from .canon import automorphisms, canonical_cert
 from .cliques import has_clique
 from .graphs import Graph, bits, complete, from_rows, induced, mader_edge_cap
 
@@ -470,39 +470,88 @@ def attach_vertex(g: Graph, neighbourhood) -> Graph:
     return from_rows(g.n + 1, rows)
 
 
+def _orbit(subset: tuple[int, ...], gens: list[list[int]]) -> set[tuple[int, ...]]:
+    """The orbit of a sorted subset under the group the permutations in gens
+    generate, as sorted tuples."""
+    orbit = {subset}
+    todo = [subset]
+    while todo:
+        s = todo.pop()
+        for perm in gens:
+            image = tuple(sorted(perm[v] for v in s))
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
 def apex_augment_check(
     g: Graph, k_max: int, r: int, candidates: tuple[int, ...] | None = None
 ):
     """Subsets S (|S| <= k_max) for which g plus a new vertex joined to S has
-    no complete minor on r vertices.
+    no complete minor on r vertices, by size, each size in lexicographic
+    order.
 
     candidates restricts the universe the subsets are drawn from (default:
-    all vertices of g).
+    all vertices of g); subsets follow its order.
+
+    A minor for S persists for every superset, so the survivors are closed
+    downward: a k-subset is asked about only when all its (k-1)-subsets
+    survived.  An automorphism of g that keeps the universe maps S to a
+    subset with the same verdict, so one query answers S's whole orbit.
     """
     if g.n + 1 > EXHAUSTIVE_HOST_LIMIT:
         raise ValueError(f"augmented host would exceed {EXHAUSTIVE_HOST_LIMIT} vertices")
     universe = tuple(range(g.n)) if candidates is None else tuple(candidates)
+    rest = [v for v in range(g.n) if v not in universe]
+    cells = [c for c in (list(universe), rest) if c]
+    # subsets are sorted tuples of positions in universe, so the generators
+    # must map the universe onto itself
+    place = {v: i for i, v in enumerate(universe)}
+    gens = [[place[perm[v]] for v in universe] for perm in automorphisms(g, cells)]
+    verdicts: dict[tuple[int, ...], bool] = {}
     survivors: dict[int, list[tuple[int, ...]]] = {}
+    alive: set[tuple[int, ...]] = {()}
     for k in range(1, k_max + 1):
-        for subset in combinations(universe, k):
-            aug = attach_vertex(g, subset)
-            if not kr_minor_verdict(aug, r):
-                survivors.setdefault(k, []).append(subset)
+        level = []
+        for subset in combinations(range(len(universe)), k):
+            if any(subset[:i] + subset[i + 1:] not in alive for i in range(k)):
+                continue
+            found = verdicts.get(subset)
+            if found is None:
+                found = kr_minor_verdict(attach_vertex(g, (universe[i] for i in subset)), r)
+                verdicts.update(dict.fromkeys(_orbit(subset, gens), found))
+            if not found:
+                level.append(subset)
+        if not level:
+            break
+        survivors[k] = [tuple(universe[i] for i in subset) for subset in level]
+        alive = set(level)
     return survivors
 
 
 def double_apex_check(h: Graph, r: int = 8) -> tuple[int, ...] | None:
     """The first proper 7-subset Y of V(h) for which h plus a vertex joined
     to all of h and a second vertex joined to Y has no complete minor on r
-    vertices, or None when every such Y yields one."""
+    vertices, or None when every such Y yields one.
+
+    An automorphism of h maps Y to a subset with the same verdict, so a Y in
+    the orbit of one already asked is skipped: every one asked so far had
+    the minor, so the first Y asked without it is still the first overall.
+    """
     if h.n + 2 > EXHAUSTIVE_HOST_LIMIT:
         raise ValueError(f"augmented host would exceed {EXHAUSTIVE_HOST_LIMIT} vertices")
+    if h.n <= 7:
+        return None  # Y must be a proper subset
+    gens = automorphisms(h, [list(range(h.n))])
+    apex = attach_vertex(h, range(h.n))
+    asked: set[tuple[int, ...]] = set()
     for y in combinations(range(h.n), 7):
-        if len(y) == h.n:
-            continue  # Y must be a proper subset
-        aug = attach_vertex(attach_vertex(h, range(h.n)), y)
-        if not kr_minor_verdict(aug, r):
+        if y in asked:
+            continue
+        if not kr_minor_verdict(attach_vertex(apex, y), r):
             return y
+        asked |= _orbit(y, gens)
     return None
 
 

@@ -567,7 +567,16 @@ def _coloring_sample(args: tuple[int, int, int, int]) -> tuple[int, str, int]:
 
 def _check_coloring_bound(params: dict) -> list[ReportLine]:
     """Sampled minor-free graphs respect the proven colour bounds: no K7
-    minor -> 8 colours, no K8 minor -> 10 colours."""
+    minor -> 8 colours, no K8 minor -> 10 colours.
+
+    This cross-checks the colourer and the minor kernel, not the theorems.
+    A 9-critical graph has min degree >= 8, so at least 4n edges, and a
+    K7-minor-free graph at most 5n - 15, so no counterexample to the K7
+    bound has fewer than 15 vertices.  Likewise an 11-critical graph has at
+    least 5n edges and a K8-minor-free graph at most 6n - 20, so none to the
+    K8 bound has fewer than 20.  The samples have at most n_max (default
+    14) vertices.
+    """
     seed = int(params.get("seed", 0))
     samples = int(params.get("samples", 1000))
     n_max = int(params.get("n_max", 14))
@@ -649,11 +658,27 @@ _CHECKS = {
 
 CHECK_IDS = tuple(sorted(_CHECKS))
 
+# The parameters each check reads besides "seed" and "workers", which every
+# check accepts; a parameter a check would ignore is refused instead.
+_CHECK_PARAMS = {
+    "list22-r7": {"expected"},
+    "lemma-compk8": {"n"},
+    "density-ktree": {"samples"},
+    "density-premise": {"samples", "n_max"},
+    "coloring-bound": {"samples", "n_max"},
+}
+
 
 def run_check(check_id: str, **params) -> list[ReportLine]:
     """Run one named check; returns its report records (summary last)."""
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; have {CHECK_IDS}")
+    unread = set(params) - {"seed", "workers"} - _CHECK_PARAMS.get(check_id, set())
+    if unread:
+        raise ValueError(f"check {check_id} does not take {', '.join(sorted(unread))}")
+    for name in ("samples", "workers"):
+        if name in params and int(params[name]) < 1:
+            raise ValueError(f"{name} must be at least 1, got {params[name]}")
     return _CHECKS[check_id](params)
 
 

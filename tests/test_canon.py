@@ -9,7 +9,13 @@ from oracles import (
     pair_orbits_brute,
     random_graph_for_tests,
 )
-from triminor.canon import canonical_cert, is_isomorphic, pair_cert, pair_orbits
+from triminor.canon import (
+    automorphisms,
+    canonical_cert,
+    is_isomorphic,
+    pair_cert,
+    pair_orbits,
+)
 from triminor.graphs import (
     complement,
     complete,
@@ -129,6 +135,40 @@ def test_pair_orbits_match_permutation_orbits_on_six_to_eight_vertices():
     ]
     for g in special + sample:
         _assert_pair_orbits_match_brute(g)
+
+
+def _generated_group(gens, n):
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        perm = todo.pop()
+        for gen in gens:
+            product = tuple(gen[v] for v in perm)
+            if product not in group:
+                group.add(product)
+                todo.append(product)
+    return group
+
+
+def test_automorphisms_generate_the_cell_stabiliser():
+    # the generators must give exactly the automorphisms that keep each
+    # cell, found by trying every permutation; the splits include the
+    # lemma-compk7 shape, a dominating vertex outside the first cell
+    rng = random.Random(11)
+    hosts = [complete_multipartite(1, 2, 2, 2), complete(6), make_graph(6, []),
+             double_axle_wheel(4)]
+    hosts += [random_graph_for_tests(rng.randint(4, 7), rng, p=rng.uniform(0.2, 0.8))
+              for _ in range(12)]
+    for g in hosts:
+        vertices = list(range(g.n))
+        for cells in ([vertices], [vertices[1:], vertices[:1]],
+                      [vertices[:-1], vertices[-1:]], [vertices[::2], vertices[1::2]]):
+            brute = {
+                perm for perm in itertools.permutations(vertices)
+                if all(perm[v] in cell for cell in cells for v in cell)
+                and all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())
+            }
+            assert _generated_group(automorphisms(g, cells), g.n) == brute, (g.adj, cells)
 
 
 def test_cert_first_byte_is_vertex_count():

@@ -14,11 +14,12 @@ from oracles import (
     two_disjoint_paths_brute,
     vertex_connectivity_brute,
 )
-from triminor.generate import orderly_stream
+from triminor.generate import GenSpec, generate, orderly_stream
 from triminor.graphs import (
     complete,
     complete_multipartite,
     contract_edge,
+    double_axle_wheel,
     from_rows,
     mader_edge_cap,
     make_graph,
@@ -242,6 +243,77 @@ def test_double_apex_small_and_exceptional():
          if (u, v) not in [(0, 1), (2, 3), (4, 5)]],
     )
     assert double_apex_check(k8_minus_3m, 8) is None
+
+
+def _apex_augment_all_subsets(g, k_max, r, candidates=None):
+    """Reference: the sweep that asks the kernel about every subset."""
+    universe = tuple(range(g.n)) if candidates is None else tuple(candidates)
+    survivors = {}
+    for k in range(1, k_max + 1):
+        for subset in itertools.combinations(universe, k):
+            aug = attach_vertex(g, subset)
+            if not kr_minor_verdict(aug, r):
+                survivors.setdefault(k, []).append(subset)
+    return survivors
+
+
+def _double_apex_all_subsets(h, r):
+    """Reference: ask the kernel about every proper 7-subset in order."""
+    for y in itertools.combinations(range(h.n), 7):
+        if len(y) == h.n:
+            continue
+        aug = attach_vertex(attach_vertex(h, range(h.n)), y)
+        if not kr_minor_verdict(aug, r):
+            return y
+    return None
+
+
+def test_apex_augment_matches_all_subsets_sweep():
+    # hosts shaped like lemma-compk7's (a dominating vertex outside the
+    # candidates, twin with one inside for K_{1,2,2,2}), hosts with large
+    # automorphism groups, universes that break their symmetry, and random
+    # hosts; the levels and the order inside each must match the reference
+    octahedron = complete_multipartite(2, 2, 2)
+    k1222 = attach_vertex(octahedron, range(6))
+    wheel = double_axle_wheel(5)
+    cases = [
+        (attach_vertex(k1222, range(7)), 6, 7, tuple(range(7))),
+        (attach_vertex(wheel, range(7)), 6, 7, tuple(range(7))),
+        (k1222, 6, 7, None),
+        (k1222, 5, 6, (0, 2, 3, 4, 5, 6)),
+        (wheel, 6, 6, None),
+        (wheel, 5, 5, (0, 1, 2, 5)),
+        (double_axle_wheel(6), 5, 6, (6, 0, 7, 2, 4)),
+    ]
+    rng = random.Random(31)
+    for _ in range(24):
+        n = rng.randint(6, 10)
+        g = random_graph_for_tests(n, rng, p=rng.uniform(0.3, 0.8))
+        universe = sorted(rng.sample(range(n), rng.randint(n - 3, n)))
+        cases.append((g, rng.randint(2, 5), rng.randint(5, 7), tuple(universe)))
+    levels = 0
+    for g, k_max, r, candidates in cases:
+        mine = apex_augment_check(g, k_max, r, candidates)
+        assert list(mine.items()) == list(
+            _apex_augment_all_subsets(g, k_max, r, candidates).items()
+        ), (g.adj, k_max, r, candidates)
+        levels += len(mine)
+    assert levels > 40
+
+
+def test_double_apex_matches_all_subsets_sweep():
+    hosts = list(generate(GenSpec(9, min_degree=6, prune="K7")))
+    assert len(hosts) == 18
+    hosts.append(complete_multipartite(2, 2, 2, 2))
+    hosts.append(make_graph(
+        8,
+        [(u, v) for u in range(8) for v in range(u + 1, 8)
+         if (u, v) not in [(0, 1), (2, 3), (4, 5)]],
+    ))
+    found = [double_apex_check(h, 8) for h in hosts]
+    assert found == [_double_apex_all_subsets(h, 8) for h in hosts]
+    # K_{3,3,3}, the complement of C3+C6 and K_{2,2,2,2} fail
+    assert sum(y is not None for y in found) == 3
 
 
 def test_minor_monotone_under_contraction():

@@ -19,7 +19,13 @@ from triminor.graphs import (
     make_graph,
     total_triangles,
 )
-from triminor.minors import attach_vertex, kr_minor_verdict
+from triminor.minors import (
+    apex_augment_check,
+    attach_vertex,
+    has_minor,
+    kr_minor_verdict,
+    validate_minor_witness,
+)
 from triminor.reports import summarize
 from triminor.verify import (
     CHECK_IDS,
@@ -265,6 +271,36 @@ def test_compk7_apex_verdicts_match_contraction_oracle():
                 verdicts.append(verdict)
     assert len(verdicts) == 372
     assert verdicts.count(False) == 100
+
+
+def test_compk7_apex_frontier_pinned_by_contraction_oracle():
+    # a K7 minor for S persists for every superset, so a sweep's survivors
+    # are fixed by its maximal survivors (no minor: the oracle confirms each)
+    # and its minimal non-survivors (a minor: each witness is re-checked).
+    # Done for the 6 corpus graphs on <= 8 vertices; the 17 on 9 vertices
+    # add 204 maximal survivors and take minutes with the oracle.
+    memo = {}
+    maximal = minimal = 0
+    for g in load_corpus():
+        if g.n > 8:
+            continue
+        host = attach_vertex(g, range(g.n))
+        survivors = apex_augment_check(host, 6, 7, candidates=tuple(range(g.n)))
+        alive = {()}.union(*survivors.values())
+        for k in range(1, 7):
+            for subset in combinations(range(g.n), k):
+                aug = attach_vertex(host, subset)
+                if subset in alive:
+                    if not any(tuple(sorted(subset + (v,))) in alive
+                               for v in range(g.n) if v not in subset):
+                        assert kr_minor_brute(aug, 7, memo) is False, (g.n, subset)
+                        maximal += 1
+                elif all(subset[:i] + subset[i + 1:] in alive for i in range(k)):
+                    w = has_minor(aug, complete(7))
+                    assert w is not None, (g.n, subset)
+                    validate_minor_witness(aug, w)
+                    minimal += 1
+    assert (maximal, minimal) == (66, 34)
 
 
 def test_lemma_compk8_warns_that_n11_runs_long(monkeypatch, capsys):
