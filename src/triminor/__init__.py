@@ -15,9 +15,7 @@ from .graphs import (
     induced,
     k_tree,
     make_graph,
-    mader_bound_check,
     min_triangle_edge,
-    named_graph,
     petersen,
     petersen_complement,
     total_triangles,
@@ -25,13 +23,10 @@ from .graphs import (
 )
 from .minors import (
     MinorWitness,
-    RootedK3Outcome,
     apex_augment_check,
     double_apex_check,
     has_minor,
     kr_minor_verdict,
-    rooted_k3,
-    two_disjoint_paths,
     validate_minor_witness,
     vertex_connectivity,
 )
@@ -39,10 +34,8 @@ from .reports import ReportLine, emit_report, summarize
 from .rigidity import StressVerdict, stress_space_dim, whiteley_reduce
 from .verify import (
     CHECK_IDS,
-    alpha_inequality_check,
     density_premise,
     density_verdict,
-    is_split_graph,
     load_corpus,
     run_check,
 )
@@ -55,9 +48,7 @@ __all__ = [
     "Graph",
     "MinorWitness",
     "ReportLine",
-    "RootedK3Outcome",
     "StressVerdict",
-    "alpha_inequality_check",
     "apex_augment_check",
     "canonical_cert",
     "chromatic_number",
@@ -75,25 +66,20 @@ __all__ = [
     "has_minor",
     "induced",
     "is_isomorphic",
-    "is_split_graph",
     "k_tree",
     "kr_minor_verdict",
     "load_corpus",
     "make_graph",
-    "mader_bound_check",
     "min_triangle_edge",
-    "named_graph",
     "parse_graph6",
     "petersen",
     "petersen_complement",
     "read_corpus",
-    "rooted_k3",
     "run_check",
     "stress_space_dim",
     "summarize",
     "total_triangles",
     "triangles_on_edge",
-    "two_disjoint_paths",
     "validate_minor_witness",
     "vertex_connectivity",
     "whiteley_reduce",

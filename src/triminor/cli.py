@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from .coloring import chromatic_number
-from .generate import GenSpec, generate
-from .graph6 import parse_graph6, write_graph6
+from .generate import GenSpec, generate, generate_count
+from .graph6 import parse_corpus, parse_graph6, read_corpus, write_graph6
 from .graphs import Graph, complete
 from .minors import EXHAUSTIVE_HOST_LIMIT, has_minor
 from .reports import ReportLine, emit_report
@@ -27,16 +27,11 @@ from .verify import CHECK_IDS, density_verdict, run_check
 def _read_graphs(token: str) -> list[Graph]:
     """Input is a file path, '-' for stdin, or an inline graph6 string."""
     if token == "-":
-        lines = sys.stdin.read().splitlines()
+        graphs = parse_corpus(sys.stdin.read(), "<stdin>")
     elif Path(token).exists():
-        lines = Path(token).read_text().splitlines()
+        graphs = read_corpus(token)
     else:
-        lines = [token]
-    graphs = []
-    for raw in lines:
-        head = raw.split()[0] if raw.split() else ""
-        if head:
-            graphs.append(parse_graph6(head))
+        graphs = [parse_graph6(token)]
     if not graphs:
         raise ValueError(f"no graphs found in input {token!r}")
     return graphs
@@ -74,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--check", required=True, choices=list(CHECK_IDS))
     ver.add_argument("--n", type=int, default=None, help="size parameter")
     ver.add_argument("--samples", type=int, default=None)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--workers", type=int, default=1)
+    ver.add_argument("--seed", type=int, default=None)
+    ver.add_argument("--workers", type=int, default=None)
 
     rig = sub.add_parser("rigidity", help="generic stress-space dimension")
     rig.add_argument("--d", type=int, required=True)
@@ -96,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_gen(args) -> tuple[list[ReportLine], list[str]]:
     spec = GenSpec(args.n, args.min_degree, args.prune, args.max_edges)
     if args.count_only:
-        count = sum(1 for _ in generate(spec))
+        count = generate_count(spec)
         return [ReportLine("gen", f"n={args.n}", "witness", {"count": count})], []
     return [], [write_graph6(g) for g in generate(spec)]
 
@@ -136,11 +131,9 @@ def _cmd_triangles(args) -> list[ReportLine]:
 
 
 def _cmd_verify(args) -> list[ReportLine]:
-    params = {"seed": args.seed, "workers": args.workers}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.samples is not None:
-        params["samples"] = args.samples
+    params = {name: getattr(args, name)
+              for name in ("n", "samples", "seed", "workers")
+              if getattr(args, name) is not None}
     return run_check(args.check, **params)
 
 

@@ -1,8 +1,8 @@
-"""Exact clique and independent-set search on bitmask graphs."""
+"""Exact clique search on bitmask graphs."""
 
 from __future__ import annotations
 
-from .graphs import Graph, complement
+from .graphs import Graph
 
 
 def max_clique(g: Graph) -> list[int]:
@@ -64,11 +64,3 @@ def has_clique(g: Graph, size: int) -> list[int] | None:
         return []
     expand([], (1 << g.n) - 1)
     return found
-
-
-def independence_number(g: Graph) -> int:
-    return len(max_clique(complement(g)))
-
-
-def max_independent_set(g: Graph) -> list[int]:
-    return max_clique(complement(g))

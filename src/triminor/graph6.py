@@ -89,15 +89,20 @@ def parse_graph6(text: str) -> Graph:
 
 def read_corpus(path: str | Path) -> list[Graph]:
     """Read a graph6 file, one graph per line; text after whitespace is a comment."""
+    return parse_corpus(Path(path).read_text(), path)
+
+
+def parse_corpus(text: str, source: str | Path) -> list[Graph]:
+    """Decode corpus text as read_corpus does; an error names source:lineno."""
     graphs = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         token = raw.split()[0] if raw.split() else ""
         if not token:
             continue
         try:
             graphs.append(parse_graph6(token))
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+            raise ValueError(f"{source}:{lineno}: {exc}") from None
     return graphs
 
 

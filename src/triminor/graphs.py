@@ -175,26 +175,6 @@ def k_tree(k: int, n: int, seed: int) -> Graph:
     return from_rows(n, rows)
 
 
-_CATALOG = {
-    "complete": complete,
-    "complete_multipartite": complete_multipartite,
-    "petersen": petersen,
-    "petersen_complement": petersen_complement,
-    "double_axle_wheel": double_axle_wheel,
-    "k_tree": k_tree,
-}
-
-
-def named_graph(name: str, *params: int) -> Graph:
-    """Catalog constructor; raises ValueError for unknown names or bad params."""
-    if name not in _CATALOG:
-        raise ValueError(f"unknown graph name {name!r} (have {sorted(_CATALOG)})")
-    try:
-        return _CATALOG[name](*params)
-    except TypeError as exc:
-        raise ValueError(f"bad parameters {params} for {name!r}: {exc}") from None
-
-
 # ---------------------------------------------------------------------------
 # Triangles
 
@@ -312,16 +292,3 @@ def mader_edge_cap(n: int, r: int) -> int:
     if r == 8:
         return 6 * n - 20
     return (r - 2) * n - comb(r - 1, 2)
-
-
-def mader_bound_check(g: Graph, r: int) -> bool:
-    """True iff |E| <= (r-2)n - C(r-1,2), for 3 <= r <= 7.
-
-    Needs n >= r-1: the cap equals C(n,2) exactly at n = r-1 and is
-    meaningless below that (even complete graphs overshoot it).
-    """
-    if not 3 <= r <= 7:
-        raise ValueError(f"r={r} outside 3..7")
-    if g.n < r - 1:
-        raise ValueError(f"need n >= r-1, got n={g.n} r={r}")
-    return g.edge_count <= mader_edge_cap(g.n, r)

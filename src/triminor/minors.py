@@ -1,16 +1,16 @@
 """Exact minor containment by branch-set backtracking, plus the structural
-subroutines built on it: rooted triangle minors, two disjoint paths, apex
-augmentations and vertex connectivity.
+subroutines built on it: apex augmentations and vertex connectivity.
 
 A minor model of h in g assigns to every vertex of h a branch set: the sets
 are disjoint, each induces a connected subgraph of g, and every edge of h is
-realised by at least one host edge between the corresponding sets.  The
-search places branch sets one pattern vertex at a time, enumerating candidate
-connected subsets of the unused vertices and pruning on vertex budget and on
-required adjacency to already-placed sets.  Complete minors are decided by a
-narrower search: on a connected host the branch sets can be taken to
-partition the vertices (see _partition_model).  Hosts stay at or below 16
-vertices, where these exhaustive searches are fast.
+realised by at least one host edge between the corresponding sets.  For a
+non-complete pattern the search (_search_model) places branch sets one
+pattern vertex at a time, enumerating candidate connected subsets of the
+unused vertices and pruning on vertex budget and on required adjacency to
+already-placed sets.  Complete minors are decided by a narrower search: on a
+connected host the branch sets can be taken to partition the vertices (see
+_partition_model).  Hosts stay at or below 16 vertices, where these
+exhaustive searches are fast.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import comb
 
 from .canon import automorphisms, canonical_cert
 from .cliques import has_clique
-from .graphs import Graph, bits, complete, from_rows, induced, mader_edge_cap
+from .graphs import Graph, bits, from_rows, induced, mader_edge_cap
 
 EXHAUSTIVE_HOST_LIMIT = 16
 
@@ -32,14 +32,6 @@ class MinorWitness:
 
     pattern: Graph
     branch_sets: tuple[frozenset[int], ...]
-
-
-@dataclass(frozen=True)
-class RootedK3Outcome:
-    """Either a triangle minor rooted at (a, b, c) or a separating vertex."""
-
-    witness: MinorWitness | None
-    separator: int | None
 
 
 def validate_minor_witness(g: Graph, w: MinorWitness) -> None:
@@ -73,12 +65,9 @@ def validate_minor_witness(g: Graph, w: MinorWitness) -> None:
                 ), f"pattern edge ({i},{j}) not realised"
 
 
-def _search_model(
-    g: Graph, h: Graph, roots: tuple[int, ...] | None = None
-) -> list[int] | None:
-    """Branch-set masks realising h in g, or None.
-
-    roots: when given, branch set i must contain roots[i].
+def _search_model(g: Graph, h: Graph) -> list[int] | None:
+    """Branch-set masks realising h in g, or None.  has_minor sends only
+    non-complete patterns here; complete ones go to _partition_model.
 
     Pruning: per-set growth budget from the remaining vertex pool, required
     adjacency to placed sets checked during growth, and placed sets that
@@ -89,8 +78,6 @@ def _search_model(
         return None
     adj = g.adj
     order = sorted(range(p), key=lambda v: -h.adj[v].bit_count())
-    if roots is not None:
-        order = list(range(p))
     req = [
         tuple(j for j in range(i) if h.adj[order[i]] >> order[j] & 1)
         for i in range(p)
@@ -107,9 +94,6 @@ def _search_model(
             )
     sets: list[int] = [0] * p
     zones: list[int] = [0] * p  # host neighbourhood of each placed set
-    root_mask = 0
-    if roots is not None:
-        root_mask = sum(1 << r for r in roots)
 
     def place(i: int, free: int) -> bool:
         if i == p:
@@ -159,12 +143,6 @@ def _search_model(
                     return True
             return False
 
-        if roots is not None:
-            r = roots[order[i]]
-            if not free >> r & 1:
-                return False
-            later_roots = root_mask & ~(1 << r) & free
-            return grow(1 << r, adj[r], free & ~(1 << r) & ~later_roots, spare)
         starts = free
         while starts:
             low = starts & -starts
@@ -385,80 +363,6 @@ def kr_minor_verdict(g: Graph, r: int) -> bool:
         if found:
             return _remember(key, True)
     return _remember(key, False)
-
-
-def rooted_k3(g: Graph, a: int, b: int, c: int) -> RootedK3Outcome:
-    """Triangle minor rooted at {a, b, c}, or a vertex separating the roots.
-
-    Exactly one alternative applies: a rooted model survives every single
-    vertex deletion, and conversely.
-    """
-    if len({a, b, c}) != 3:
-        raise ValueError(f"roots {a},{b},{c} must be distinct")
-    masks = _search_model(g, complete(3), roots=(a, b, c))
-    if masks is not None:
-        return RootedK3Outcome(_masks_to_witness(complete(3), masks), None)
-    for v in range(g.n):
-        if _separates_roots(g, v, (a, b, c)):
-            return RootedK3Outcome(None, v)
-    raise RuntimeError("rooted-K3 dichotomy violated")  # unreachable
-
-
-def _separates_roots(g: Graph, v: int, roots: tuple[int, ...]) -> bool:
-    """True iff no component of g - v holds two of the roots."""
-    alive = (1 << g.n) - 1 & ~(1 << v)
-    root_mask = sum(1 << r for r in roots) & alive
-    return all(
-        (comp & root_mask).bit_count() <= 1 for comp in _component_masks(g.adj, alive)
-    )
-
-
-def two_disjoint_paths(
-    g: Graph, s1: int, t1: int, s2: int, t2: int
-) -> tuple[list[int], list[int]] | None:
-    """Vertex-disjoint paths s1->t1 and s2->t2, or None.  Brute force."""
-    terminals = (s1, t1, s2, t2)
-    if len(set(terminals)) != 4:
-        raise ValueError(f"terminals {terminals} must be distinct")
-    if g.n > EXHAUSTIVE_HOST_LIMIT:
-        raise ValueError(f"host has {g.n} > {EXHAUSTIVE_HOST_LIMIT} vertices")
-    banned = 1 << s2 | 1 << t2
-    result: tuple[list[int], list[int]] | None = None
-
-    def second_path(used: int) -> list[int] | None:
-        avoid = used & ~banned  # the first path blocks; s2/t2 stay usable
-        parent = {s2: -1}
-        queue = [s2]
-        while queue:
-            u = queue.pop(0)
-            if u == t2:
-                path = [u]
-                while parent[path[-1]] != -1:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-            for v in bits(g.adj[u] & ~avoid):
-                if v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        return None
-
-    def extend(path: list[int], used: int) -> bool:
-        nonlocal result
-        u = path[-1]
-        if u == t1:
-            other = second_path(used)
-            if other is not None:
-                result = (path[:], other)
-                return True
-            return False
-        for v in bits(g.adj[u] & ~used):
-            if extend(path + [v], used | 1 << v):
-                return True
-        return False
-
-    # s2 and t2 count as used from the start, so the first path avoids them.
-    extend([s1], 1 << s1 | banned)
-    return result
 
 
 def attach_vertex(g: Graph, neighbourhood) -> Graph:

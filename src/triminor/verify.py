@@ -1,6 +1,6 @@
 """Named, self-contained reproductions of the computer-checked structural
 claims: neighbourhood enumerations, apex sweeps, edge-addition minor facts,
-triangle density formulas, and colouring preconditions.
+triangle density formulas, and colour bounds on sampled minor-free graphs.
 
 Every check streams one report record per input with a witness payload on
 failure, plus a final summary record, so a failed run pinpoints the exact
@@ -19,13 +19,11 @@ from itertools import combinations
 from math import comb
 
 from .canon import canonical_cert, is_isomorphic
-from .cliques import independence_number
 from .coloring import chromatic_number
 from .generate import GenSpec, generate
-from .graph6 import parse_graph6, write_graph6
+from .graph6 import parse_corpus, parse_graph6, write_graph6
 from .graphs import (
     Graph,
-    bits,
     complete,
     complete_multipartite,
     double_axle_wheel,
@@ -56,55 +54,11 @@ def load_corpus() -> list[Graph]:
     """The shipped neighbourhood corpus: <=9 vertices, min degree >= 5,
     no K6-minor; regenerated and cross-checked by the list22-r7 check."""
     text = resources.files("triminor").joinpath(CORPUS_RESOURCE).read_text()
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]
+    return parse_corpus(text, CORPUS_RESOURCE)
 
 
 # ---------------------------------------------------------------------------
-# Primitive operations used by the coloring checks
-
-
-def alpha_inequality_check(g: Graph, v: int, k: int) -> bool:
-    """deg(v) + 2 - alpha(G[N(v)]) >= k, with the independence number exact."""
-    nbrs = g.neighbors(v)
-    alpha = independence_number(induced(g, nbrs)) if nbrs else 0
-    return g.degree(v) + 2 - alpha >= k
-
-
-def is_split_graph(g: Graph) -> bool:
-    """Clique + independent-set partition, detected by scanning for the three
-    forbidden induced subgraphs: C4, C5 and a pair of disjoint edges."""
-    return not (_has_induced_2k2(g) or _has_induced_c4(g) or _has_induced_c5(g))
-
-
-def _has_induced_2k2(g: Graph) -> bool:
-    edges = g.edges()
-    for i, (a, b) in enumerate(edges):
-        cover = g.adj[a] | g.adj[b] | 1 << a | 1 << b
-        for c, d in edges[i + 1:]:
-            if not (cover >> c & 1 or cover >> d & 1):
-                return True
-    return False
-
-
-def _has_induced_c4(g: Graph) -> bool:
-    for a in range(g.n):
-        for c in range(a + 1, g.n):
-            if g.has_edge(a, c):
-                continue
-            common = g.adj[a] & g.adj[c]
-            for b in bits(common):
-                if common & ~g.adj[b] & ~(1 << b):
-                    return True
-    return False
-
-
-def _has_induced_c5(g: Graph) -> bool:
-    for a, b in g.edges():
-        for c in bits(g.adj[b] & ~g.adj[a] & ~(1 << a)):
-            for d in bits(g.adj[c] & ~g.adj[a] & ~g.adj[b] & ~(1 << a) & ~(1 << b)):
-                if g.adj[d] & g.adj[a] & ~g.adj[b] & ~g.adj[c] & ~(1 << b) & ~(1 << c):
-                    return True
-    return False
+# Triangle-density verdicts
 
 
 @dataclass(frozen=True)
@@ -596,45 +550,6 @@ def _check_coloring_bound(params: dict) -> list[ReportLine]:
     return _summary("coloring-bound", out, {"samples": samples})
 
 
-def _check_split_recognizer(params: dict) -> list[ReportLine]:
-    """Fixed positives and negatives for the split-graph scan."""
-    cases = [
-        ("K5", complete(5), True),
-        ("C4", make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), False),
-        ("C5", make_graph(5, [(i, (i + 1) % 5) for i in range(5)]), False),
-        ("2K2", make_graph(4, [(0, 1), (2, 3)]), False),
-        ("clique+stable", make_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)]), True),
-        ("star", make_graph(5, [(0, i) for i in range(1, 5)]), True),
-    ]
-    out = []
-    for name, g, expected in cases:
-        t0 = time.monotonic()
-        got = is_split_graph(g)
-        out.append(_line("split-recognizer", name, "pass" if got == expected else "fail",
-                         {"expected": expected, "got": got} if got != expected else None,
-                         t0))
-    return _summary("split-recognizer", out, {"cases": len(cases)})
-
-
-def _check_alpha_inequality(params: dict) -> list[ReportLine]:
-    """Fixed instances of the degree/independence colouring inequality."""
-    boundary = make_graph(10, [(u, v) for u in range(9) for v in range(u + 1, 9)
-                               if (v - u) % 9 not in (1, 8)] + [(9, i) for i in range(9)])
-    cases = [
-        ("K9,k=9", complete(9), 0, 9, True),
-        ("K22222,k=9", complete_multipartite(2, 2, 2, 2, 2), 0, 9, False),
-        ("deg9-alpha2,k=9", boundary, 9, 9, True),
-    ]
-    out = []
-    for name, g, v, k, expected in cases:
-        t0 = time.monotonic()
-        got = alpha_inequality_check(g, v, k)
-        out.append(_line("alpha-inequality", name, "pass" if got == expected else "fail",
-                         {"expected": expected, "got": got} if got != expected else None,
-                         t0))
-    return _summary("alpha-inequality", out, {"cases": len(cases)})
-
-
 # ---------------------------------------------------------------------------
 # Registry and dispatch
 
@@ -652,20 +567,19 @@ _CHECKS = {
     "density-ktree": _check_density_ktree,
     "density-premise": _check_density_premise,
     "coloring-bound": _check_coloring_bound,
-    "split-recognizer": _check_split_recognizer,
-    "alpha-inequality": _check_alpha_inequality,
 }
 
 CHECK_IDS = tuple(sorted(_CHECKS))
 
-# The parameters each check reads besides "seed" and "workers", which every
-# check accepts; a parameter a check would ignore is refused instead.
+# The parameters each check reads; a parameter a check would ignore is
+# refused instead.
 _CHECK_PARAMS = {
     "list22-r7": {"expected"},
-    "lemma-compk8": {"n"},
-    "density-ktree": {"samples"},
-    "density-premise": {"samples", "n_max"},
-    "coloring-bound": {"samples", "n_max"},
+    "lemma-compk7": {"workers"},
+    "lemma-compk8": {"n", "workers"},
+    "density-ktree": {"seed", "samples"},
+    "density-premise": {"seed", "samples", "n_max", "workers"},
+    "coloring-bound": {"seed", "samples", "n_max", "workers"},
 }
 
 
@@ -673,7 +587,7 @@ def run_check(check_id: str, **params) -> list[ReportLine]:
     """Run one named check; returns its report records (summary last)."""
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; have {CHECK_IDS}")
-    unread = set(params) - {"seed", "workers"} - _CHECK_PARAMS.get(check_id, set())
+    unread = set(params) - _CHECK_PARAMS.get(check_id, set())
     if unread:
         raise ValueError(f"check {check_id} does not take {', '.join(sorted(unread))}")
     for name in ("samples", "workers"):

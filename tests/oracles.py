@@ -72,52 +72,40 @@ def pair_orbits_brute(g: Graph, pairs) -> set[frozenset]:
     }
 
 
-def kr_minor_brute(g: Graph, r: int, memo: dict | None = None) -> bool:
-    """Complete-minor test by recursion over single edge contractions:
-    a clique on r vertices appears as a subgraph of some contraction.
-    The memo is keyed on the labelled graph, so no canonical form is trusted."""
+def minor_brute(g: Graph, h: Graph, memo: dict | None = None) -> bool:
+    """Minor test by recursion over single edge contractions: h is a minor
+    of g iff h is a subgraph of some contraction of g.  The memo is keyed on
+    the labelled graphs, so no canonical form is trusted."""
     if memo is None:
         memo = {}
-    if g.n < r or g.edge_count < r * (r - 1) // 2:
+    if g.n < h.n or g.edge_count < h.edge_count:
         return False
-    key = (g.adj, r)
+    key = (g.adj, h.adj)
     if key in memo:
         return memo[key]
-    if _has_clique_brute(g, r):
-        memo[key] = True
-        return True
-    result = any(
-        kr_minor_brute(contract_edge(g, u, v)[0], r, memo) for u, v in g.edges()
+    result = _has_subgraph_brute(g, h) or any(
+        minor_brute(contract_edge(g, u, v)[0], h, memo) for u, v in g.edges()
     )
     memo[key] = result
     return result
 
 
-def _has_clique_brute(g: Graph, r: int) -> bool:
-    return any(
-        all(g.has_edge(a, b) for a, b in itertools.combinations(sub, 2))
-        for sub in itertools.combinations(range(g.n), r)
-    )
+def kr_minor_brute(g: Graph, r: int, memo: dict | None = None) -> bool:
+    """Complete-minor test: minor_brute with the clique on r vertices."""
+    clique = make_graph(r, list(itertools.combinations(range(r), 2)))
+    return minor_brute(g, clique, memo)
 
 
-def two_disjoint_paths_brute(g, s1, t1, s2, t2):
-    """Enumerate all simple path pairs."""
-
-    def paths(a, b, banned):
-        stack = [[a]]
-        while stack:
-            path = stack.pop()
-            if path[-1] == b:
-                yield path
-                continue
-            for w in range(g.n):
-                if g.has_edge(path[-1], w) and w not in path and w not in banned:
-                    stack.append(path + [w])
-
-    for p1 in paths(s1, t1, {s2, t2}):
-        for p2 in paths(s2, t2, set(p1)):
-            return p1, p2
-    return None
+def _has_subgraph_brute(g: Graph, h: Graph) -> bool:
+    """Some injective map of V(h) into V(g) sends every edge of h onto an
+    edge of g.  Every vertex order of a clique is the same pattern, so for a
+    complete h only the vertex sets of g are tried."""
+    h_edges = h.edges()
+    if len(h_edges) == h.n * (h.n - 1) // 2:
+        maps = itertools.combinations(range(g.n), h.n)
+    else:
+        maps = itertools.permutations(range(g.n), h.n)
+    return any(all(g.has_edge(phi[a], phi[b]) for a, b in h_edges) for phi in maps)
 
 
 def vertex_connectivity_brute(g: Graph) -> int:
@@ -161,27 +149,6 @@ def st_separator_brute(g: Graph, s: int, t: int) -> int:
             if t not in seen:
                 return k
     raise ValueError(f"{s} and {t} are adjacent")
-
-
-def is_split_brute(g: Graph) -> bool:
-    """Try every vertex bipartition into a clique and an independent set."""
-    for mask in range(1 << g.n):
-        clique = [v for v in range(g.n) if mask >> v & 1]
-        stable = [v for v in range(g.n) if not mask >> v & 1]
-        if all(g.has_edge(a, b) for a, b in itertools.combinations(clique, 2)) and all(
-            not g.has_edge(a, b) for a, b in itertools.combinations(stable, 2)
-        ):
-            return True
-    return False
-
-
-def independence_number_brute(g: Graph) -> int:
-    best = 0
-    for mask in range(1 << g.n):
-        vs = [v for v in range(g.n) if mask >> v & 1]
-        if all(not g.has_edge(a, b) for a, b in itertools.combinations(vs, 2)):
-            best = max(best, len(vs))
-    return best
 
 
 def chromatic_brute(g: Graph) -> int:

@@ -101,6 +101,15 @@ def test_stdin_and_file_inputs(tmp_path):
     assert records(proc.stdout)[0]["witness"]["chi"] == 4
 
 
+def test_bad_graph6_line_in_a_file_names_its_line(tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    path.write_text("C~\nE]~o\nC!\n")
+    assert main(["chroma", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"triminor: {path}:3: byte '!' outside graph6 range\n"
+
+
 def test_usage_errors_exit_2():
     assert run_cli(["frobnicate"]).returncode == 2
     assert run_cli(["minor", "--pattern", "K3", "NOT A GRAPH"]).returncode == 2
@@ -116,6 +125,10 @@ def test_usage_errors_exit_2():
     ["gen", "--n", "5", "--max-edges", "-1"],
     ["verify", "--check", "wheels-r6", "--n", "9"],
     ["verify", "--check", "lemma-compk7", "--samples", "3"],
+    ["verify", "--check", "wheels-r6", "--seed", "5"],
+    ["verify", "--check", "wheels-r6", "--workers", "3"],
+    ["verify", "--check", "density-ktree", "--samples", "2", "--workers", "2"],
+    ["verify", "--check", "lemma-compk7", "--seed", "1"],
 ])
 def test_bad_parameters_exit_2_with_a_message(args, capsys):
     assert main(args) == 2

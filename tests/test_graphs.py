@@ -12,10 +12,8 @@ from triminor.graphs import (
     induced,
     k_tree,
     make_graph,
-    mader_bound_check,
     mader_edge_cap,
     min_triangle_edge,
-    named_graph,
     petersen,
     petersen_complement,
     total_triangles,
@@ -52,25 +50,17 @@ def test_petersen_complement_shape():
     assert all(pc.degree(v) == 6 for v in range(10))
 
 
-def test_named_graph_catalog():
-    daw4 = named_graph("double_axle_wheel", 4)
+def test_named_constructions():
+    daw4 = double_axle_wheel(4)
     assert (daw4.n, daw4.edge_count) == (6, 12)
-    k5 = named_graph("complete", 5)
-    assert k5.edge_count == 10
-    k22222 = named_graph("complete_multipartite", 2, 2, 2, 2, 2)
+    assert complete(5).edge_count == 10
+    k22222 = complete_multipartite(2, 2, 2, 2, 2)
     assert (k22222.n, k22222.edge_count) == (10, 40)
     assert all(triangles_on_edge(k22222, u, v) == 6 for u, v in k22222.edges())
-    assert named_graph("petersen").edge_count == 15
-    assert named_graph("petersen_complement").edge_count == 30
-
-
-def test_named_graph_errors():
+    assert petersen().edge_count == 15
+    assert petersen_complement().edge_count == 30
     with pytest.raises(ValueError):
-        named_graph("moebius")
-    with pytest.raises(ValueError):
-        named_graph("double_axle_wheel", 2)
-    with pytest.raises(ValueError):
-        named_graph("complete")
+        double_axle_wheel(2)
 
 
 def test_k_tree_counts():
@@ -201,18 +191,10 @@ def test_complement_involution():
         assert complement(complement(g)) == g
 
 
-def test_mader_bound_check():
-    assert mader_bound_check(complete(6), 7) is True  # 15 <= 15 boundary
-    assert mader_bound_check(complete(7), 7) is False
-    assert mader_bound_check(complete_multipartite(2, 2, 2, 2, 2), 7) is False
-    with pytest.raises(ValueError):
-        mader_bound_check(complete(4), 7)
-    with pytest.raises(ValueError):
-        mader_bound_check(complete(8), 8)
-
-
 def test_mader_edge_cap_up_to_k8():
     assert mader_edge_cap(6, 7) == complete(6).edge_count
+    assert mader_edge_cap(7, 7) < complete(7).edge_count
+    assert mader_edge_cap(10, 7) < complete_multipartite(2, 2, 2, 2, 2).edge_count
     # K_{2,2,2,2,2} has no K8 minor and 6n - 20 edges: the r = 8 cap is tight
     assert mader_edge_cap(10, 8) == complete_multipartite(2, 2, 2, 2, 2).edge_count
     with pytest.raises(ValueError):

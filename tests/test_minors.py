@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    all_graphs_on,
     graph_from_code,
     kr_minor_brute,
+    minor_brute,
     random_graph_for_tests,
     st_separator_brute,
-    two_disjoint_paths_brute,
     vertex_connectivity_brute,
 )
-from triminor.generate import GenSpec, generate, orderly_stream
+from triminor.generate import GenSpec, generate
 from triminor.graphs import (
     complete,
     complete_multipartite,
@@ -34,8 +35,6 @@ from triminor.minors import (
     double_apex_check,
     has_minor,
     kr_minor_verdict,
-    rooted_k3,
-    two_disjoint_paths,
     validate_minor_witness,
     vertex_connectivity,
 )
@@ -103,86 +102,6 @@ def test_witness_validator_rejects_tampering():
     if not g.has_edge(2, 7):
         with pytest.raises(AssertionError):
             validate_minor_witness(g, disconnected)
-
-
-def test_rooted_k3_examples():
-    tri = complete(3)
-    out = rooted_k3(tri, 0, 1, 2)
-    assert out.witness is not None and out.separator is None
-    star = make_graph(4, [(3, 0), (3, 1), (3, 2)])
-    out = rooted_k3(star, 0, 1, 2)
-    assert out.separator == 3
-    c5 = make_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    out = rooted_k3(c5, 0, 2, 3)
-    assert out.witness is not None
-    validate_minor_witness(c5, out.witness)
-    for i, root in enumerate((0, 2, 3)):
-        assert root in out.witness.branch_sets[i]
-    with pytest.raises(ValueError):
-        rooted_k3(tri, 0, 0, 1)
-
-
-def test_rooted_k3_dichotomy_exhaustive_small():
-    # exactly one alternative on every graph with at most 7 vertices
-    for n in range(3, 8):
-        count = 0
-        for g in orderly_stream(n, lambda _: True):
-            for roots in itertools.combinations(range(n), 3):
-                out = rooted_k3(g, *roots)
-                assert (out.witness is None) != (out.separator is None)
-                if out.witness is not None:
-                    validate_minor_witness(g, out.witness)
-                    for i, r in enumerate(roots):
-                        assert r in out.witness.branch_sets[i]
-                else:
-                    v = out.separator
-                    # removing v must scatter the roots
-                    live = [r for r in roots if r != v]
-                    comp_of = {}
-                    for r in live:
-                        seen = {r}
-                        stack = [r]
-                        while stack:
-                            x = stack.pop()
-                            for y in range(g.n):
-                                if y != v and y not in seen and g.has_edge(x, y):
-                                    seen.add(y)
-                                    stack.append(y)
-                        comp_of[r] = frozenset(seen)
-                    for a, b in itertools.combinations(live, 2):
-                        assert b not in comp_of[a]
-                count += 1
-        assert count > 0
-
-
-def test_two_disjoint_paths_examples():
-    k4 = complete(4)
-    got = two_disjoint_paths(k4, 0, 2, 1, 3)
-    assert got == ([0, 2], [1, 3])
-    c4 = make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert two_disjoint_paths(c4, 0, 2, 1, 3) is None
-    k222 = complete_multipartite(2, 2, 2)
-    assert two_disjoint_paths(k222, 0, 1, 2, 3) is not None
-    with pytest.raises(ValueError):
-        two_disjoint_paths(k4, 0, 0, 1, 2)
-
-
-def test_two_disjoint_paths_matches_brute_force():
-    rng = random.Random(21)
-    for _ in range(200):
-        n = rng.randint(4, 8)
-        g = random_graph_for_tests(n, rng, p=rng.uniform(0.2, 0.8))
-        s1, t1, s2, t2 = rng.sample(range(n), 4)
-        ours = two_disjoint_paths(g, s1, t1, s2, t2)
-        brute = two_disjoint_paths_brute(g, s1, t1, s2, t2)
-        assert (ours is None) == (brute is None)
-        if ours is not None:
-            p1, p2 = ours
-            assert p1[0] == s1 and p1[-1] == t1
-            assert p2[0] == s2 and p2[-1] == t2
-            assert not set(p1) & set(p2)
-            for path in (p1, p2):
-                assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
 
 
 def test_vertex_connectivity():
@@ -383,9 +302,37 @@ def test_verdict_and_witness_match_contraction_oracle(g, r):
         validate_minor_witness(g, w)
 
 
+def test_general_pattern_verdict_and_witness_match_contraction_oracle():
+    # has_minor sends non-complete patterns to _search_model, which no
+    # complete-minor test reaches
+    patterns = {
+        "C4": make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        "C5": make_graph(5, [(i, (i + 1) % 5) for i in range(5)]),
+        "K4-e": make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+        "K2,3": complete_multipartite(2, 3),
+        "P4": make_graph(4, [(0, 1), (1, 2), (2, 3)]),
+    }
+    # every labelled host on 5 vertices, then seeded hosts on 6 and 7
+    rng = random.Random(27)
+    hosts = list(all_graphs_on(5)) + [
+        random_graph_for_tests(rng.randint(6, 7), rng, p=rng.uniform(0.2, 0.8))
+        for _ in range(100)
+    ]
+    for name, h in patterns.items():
+        memo = {}
+        verdicts = set()
+        for g in hosts:
+            w = has_minor(g, h)
+            assert (w is not None) == minor_brute(g, h, memo), (name, g)
+            if w is not None:
+                validate_minor_witness(g, w)
+            verdicts.add(w is not None)
+        assert verdicts == {True, False}, name
+
+
 def test_host_size_limits():
     big = make_graph(17, [(0, 1)])
     with pytest.raises(ValueError):
         has_minor(big, complete(3))
     with pytest.raises(ValueError):
-        two_disjoint_paths(big, 0, 1, 2, 3)
+        has_minor(big, make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))

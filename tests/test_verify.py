@@ -4,12 +4,7 @@ from math import comb
 
 import pytest
 
-from oracles import (
-    independence_number_brute,
-    is_split_brute,
-    kr_minor_brute,
-    random_graph_for_tests,
-)
+from oracles import kr_minor_brute
 from triminor.canon import canonical_cert
 from triminor.graph6 import parse_graph6
 from triminor.graphs import (
@@ -29,10 +24,8 @@ from triminor.minors import (
 from triminor.reports import summarize
 from triminor.verify import (
     CHECK_IDS,
-    alpha_inequality_check,
     density_premise,
     density_verdict,
-    is_split_graph,
     load_corpus,
     random_kr_minor_free,
     random_planar_triangulation,
@@ -49,63 +42,6 @@ def test_corpus_contents():
         assert 6 <= g.n <= 9
         assert g.min_degree() >= 5
         assert not kr_minor_verdict(g, 6)
-
-
-def test_alpha_inequality_examples():
-    assert alpha_inequality_check(complete(9), 0, 9) is True
-    assert alpha_inequality_check(complete_multipartite(2, 2, 2, 2, 2), 0, 9) is False
-    # boundary: degree 9 vertex whose neighbourhood has independence number 2
-    hub = make_graph(
-        10,
-        [(u, v) for u in range(9) for v in range(u + 1, 9) if (v - u) % 9 not in (1, 8)]
-        + [(9, i) for i in range(9)],
-    )
-    assert alpha_inequality_check(hub, 9, 9) is True
-
-
-def test_alpha_boundary_on_corpus_derived_host():
-    # dominate a 9-vertex corpus graph of independence number 2: the new
-    # vertex has degree 9 and sits exactly on the inequality boundary at k=9
-    from triminor.cliques import independence_number
-    from triminor.minors import attach_vertex
-
-    hosts = 0
-    for g in load_corpus():
-        if g.n == 9 and independence_number(g) == 2:
-            host = attach_vertex(g, range(9))
-            assert alpha_inequality_check(host, 9, 9) is True
-            hosts += 1
-    assert hosts > 0
-
-
-def test_alpha_uses_exact_independence():
-    rng = random.Random(51)
-    for _ in range(30):
-        g = random_graph_for_tests(rng.randint(2, 9), rng)
-        v = rng.randrange(g.n)
-        nbrs = g.neighbors(v)
-        if not nbrs:
-            continue
-        from triminor.cliques import independence_number
-        from triminor.graphs import induced
-
-        assert independence_number(induced(g, nbrs)) == independence_number_brute(
-            induced(g, nbrs)
-        )
-
-
-def test_split_examples():
-    assert is_split_graph(complete(5)) is True
-    assert is_split_graph(make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])) is False
-    assert is_split_graph(make_graph(5, [(i, (i + 1) % 5) for i in range(5)])) is False
-    assert is_split_graph(make_graph(4, [(0, 1), (2, 3)])) is False
-
-
-def test_split_matches_partition_brute_force():
-    rng = random.Random(52)
-    for _ in range(120):
-        g = random_graph_for_tests(rng.randint(1, 8), rng, p=rng.uniform(0.1, 0.9))
-        assert is_split_graph(g) == is_split_brute(g)
 
 
 def test_density_examples():
@@ -150,9 +86,10 @@ def test_samplers_produce_what_they_claim():
 
 
 def test_run_check_unknown_id():
-    with pytest.raises(ValueError):
-        run_check("nope")
-    assert len(CHECK_IDS) == 15
+    for check_id in ("nope", "split-recognizer", "alpha-inequality"):
+        with pytest.raises(ValueError):
+            run_check(check_id)
+    assert len(CHECK_IDS) == 13
 
 
 def test_check_wheels():
@@ -273,17 +210,14 @@ def test_compk7_apex_verdicts_match_contraction_oracle():
     assert verdicts.count(False) == 100
 
 
-def test_compk7_apex_frontier_pinned_by_contraction_oracle():
-    # a K7 minor for S persists for every superset, so a sweep's survivors
-    # are fixed by its maximal survivors (no minor: the oracle confirms each)
-    # and its minimal non-survivors (a minor: each witness is re-checked).
-    # Done for the 6 corpus graphs on <= 8 vertices; the 17 on 9 vertices
-    # add 204 maximal survivors and take minutes with the oracle.
+def _pin_compk7_frontier(graphs) -> tuple[int, int]:
+    """A K7 minor for S persists for every superset, so a sweep's survivors
+    are fixed by its maximal survivors (no minor: the oracle confirms each)
+    and its minimal non-survivors (a minor: each witness is re-checked).
+    Returns how many of each were checked."""
     memo = {}
     maximal = minimal = 0
-    for g in load_corpus():
-        if g.n > 8:
-            continue
+    for g in graphs:
         host = attach_vertex(g, range(g.n))
         survivors = apex_augment_check(host, 6, 7, candidates=tuple(range(g.n)))
         alive = {()}.union(*survivors.values())
@@ -300,7 +234,20 @@ def test_compk7_apex_frontier_pinned_by_contraction_oracle():
                     assert w is not None, (g.n, subset)
                     validate_minor_witness(aug, w)
                     minimal += 1
-    assert (maximal, minimal) == (66, 34)
+    return maximal, minimal
+
+
+def test_compk7_apex_frontier_pinned_by_contraction_oracle():
+    # the 6 corpus graphs on <= 8 vertices; the slow test below takes all 23
+    small = [g for g in load_corpus() if g.n <= 8]
+    assert _pin_compk7_frontier(small) == (66, 34)
+
+
+@pytest.mark.slow
+def test_compk7_apex_frontier_pinned_on_the_whole_corpus():
+    # the 17 corpus graphs on 9 vertices add 204 maximal survivors, each a
+    # contraction-oracle run on 11 vertices: about 94 s on a 2-core machine
+    assert _pin_compk7_frontier(load_corpus()) == (270, 200)
 
 
 def test_lemma_compk8_warns_that_n11_runs_long(monkeypatch, capsys):
@@ -332,11 +279,6 @@ def test_density_conclusion_net_full_scale():
 
 def test_check_coloring_bound_small():
     assert summarize(run_check("coloring-bound", samples=12))["failures"] == 0
-
-
-def test_check_split_and_alpha():
-    assert summarize(run_check("split-recognizer"))["failures"] == 0
-    assert summarize(run_check("alpha-inequality"))["failures"] == 0
 
 
 def test_parallel_map_workers():
