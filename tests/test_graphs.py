@@ -50,7 +50,7 @@ def test_petersen_complement_shape():
     assert all(pc.degree(v) == 6 for v in range(10))
 
 
-def test_named_constructions():
+def test_named_graph_catalog():
     daw4 = double_axle_wheel(4)
     assert (daw4.n, daw4.edge_count) == (6, 12)
     assert complete(5).edge_count == 10
@@ -59,8 +59,15 @@ def test_named_constructions():
     assert all(triangles_on_edge(k22222, u, v) == 6 for u, v in k22222.edges())
     assert petersen().edge_count == 15
     assert petersen_complement().edge_count == 30
+
+
+def test_named_graph_errors():
     with pytest.raises(ValueError):
         double_axle_wheel(2)
+    with pytest.raises(ValueError):
+        complete_multipartite()
+    with pytest.raises(ValueError):
+        complete_multipartite(2, 0, 2)
 
 
 def test_k_tree_counts():
@@ -191,10 +198,15 @@ def test_complement_involution():
         assert complement(complement(g)) == g
 
 
+def test_mader_bound_check():
+    # the K7 cap admits K6 exactly (15 <= 15) and rules out K7 and K_{2,2,2,2,2}
+    assert complete(6).edge_count <= mader_edge_cap(6, 7)
+    assert complete(7).edge_count > mader_edge_cap(7, 7)
+    assert complete_multipartite(2, 2, 2, 2, 2).edge_count > mader_edge_cap(10, 7)
+
+
 def test_mader_edge_cap_up_to_k8():
     assert mader_edge_cap(6, 7) == complete(6).edge_count
-    assert mader_edge_cap(7, 7) < complete(7).edge_count
-    assert mader_edge_cap(10, 7) < complete_multipartite(2, 2, 2, 2, 2).edge_count
     # K_{2,2,2,2,2} has no K8 minor and 6n - 20 edges: the r = 8 cap is tight
     assert mader_edge_cap(10, 8) == complete_multipartite(2, 2, 2, 2, 2).edge_count
     with pytest.raises(ValueError):
