@@ -24,29 +24,50 @@ def _mask(cell: list[int]) -> int:
     return m
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    """Split cells by per-cell neighbour counts until stable, keeping order."""
-    while True:
-        masks = [_mask(c) for c in cells]
+def _refine(
+    adj: tuple[int, ...], cells: list[list[int]], splitters: list[list[int]] | None = None
+) -> list[list[int]]:
+    """Split cells by neighbour counts until stable, keeping order.
+
+    Each round groups the vertices of every cell by their numbers of
+    neighbours in each splitter, in partition order, and puts the groups in
+    the order of those counts.  The first round's splitters are `splitters`,
+    or every cell when it is None; each later round's are the parts of the
+    cells the round before split, less the last part of each.  That gives
+    the same ordered partition as counting into every cell each round: a
+    count into a cell no round split is constant on every cell, and the
+    last part's count is its parent cell's count, constant on every cell,
+    less the counts into the parts before it, so neither can separate or
+    reorder two groups.  Pass `[[v]]` after individualising v out of an
+    equitable partition.
+    """
+    if splitters is None:
+        splitters = cells
+    while splitters:
+        masks = [_mask(c) for c in splitters]
         out: list[list[int]] = []
-        changed = False
+        splitters = []
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
                 continue
-            groups: dict[tuple[int, ...], list[int]] = {}
+            groups: dict[int, list[int]] = {}
             for v in cell:
-                sig = tuple((adj[v] & m).bit_count() for m in masks)
+                # the counts as 7-bit digits of one integer: a count is at
+                # most 63, so the integers order as the tuples of counts do
+                row = adj[v]
+                sig = 0
+                for m in masks:
+                    sig = sig << 7 | (row & m).bit_count()
                 groups.setdefault(sig, []).append(v)
-            if len(groups) > 1:
-                changed = True
-                for sig in sorted(groups):
-                    out.append(groups[sig])
-            else:
+            if len(groups) == 1:
                 out.append(cell)
+                continue
+            parts = [groups[sig] for sig in sorted(groups)]
+            out.extend(parts)
+            splitters.extend(parts[:-1])
         cells = out
-        if not changed:
-            return cells
+    return cells
 
 
 def _triangle_key(adj: tuple[int, ...], lab: list[int]) -> int:
@@ -67,6 +88,11 @@ def _transposition(n: int, a: int, b: int) -> list[int]:
 
 def _min_key(g: Graph, cells: list[list[int]], autos: list[list[int]] | None = None) -> int:
     """Minimal triangle key over all refinement-compatible orderings.
+
+    Each search node holds an equitable ordered partition; a branch splits
+    a vertex v off the first non-singleton cell and refines with v alone as
+    the splitter, since counts into every other cell, and into the rest of
+    v's old cell, are already constant on each cell.
 
     When `autos` is a list, permutations generating the automorphisms of g
     that preserve the initial cells are appended to it: the map from the
@@ -122,7 +148,7 @@ def _min_key(g: Graph, cells: list[list[int]], autos: list[list[int]] | None = N
             seen_open[open_sig] = v
             seen_closed[closed_sig] = v
             other = [w for w in rest if w != v]
-            rec(_refine(adj, head + [[v], other] + tail))
+            rec(_refine(adj, head + [[v], other] + tail, [[v]]))
 
     rec(_refine(adj, cells))
     assert best is not None
@@ -168,24 +194,26 @@ def pair_orbits(g: Graph, pairs: list[tuple[int, int]]) -> list[list[tuple[int, 
     non-edges, or all pairs, say).  Each orbit lists its pairs in input
     order, and the orbits come in the order of their first pair.
     """
-    autos = automorphisms(g, [list(range(g.n))])
+    # searches often reach one automorphism along several leaves
+    autos = list(dict.fromkeys(map(tuple, automorphisms(g, [list(range(g.n))]))))
     index = {pair: i for i, pair in enumerate(pairs)}
-    parent = list(range(len(pairs)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for perm in autos:
-        for i, (u, v) in enumerate(pairs):
-            a, b = perm[u], perm[v]
-            parent[find(i)] = find(index[(a, b) if a < b else (b, a)])
-    orbits: dict[int, list[tuple[int, int]]] = {}
-    for i, pair in enumerate(pairs):
-        orbits.setdefault(find(i), []).append(pair)
-    return list(orbits.values())
+    seen = [False] * len(pairs)
+    orbits: list[list[tuple[int, int]]] = []
+    for start in range(len(pairs)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members = [start]
+        for i in members:
+            u, v = pairs[i]
+            for perm in autos:
+                a, b = perm[u], perm[v]
+                j = index[(a, b) if a < b else (b, a)]
+                if not seen[j]:
+                    seen[j] = True
+                    members.append(j)
+        orbits.append([pairs[i] for i in sorted(members)])
+    return orbits
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

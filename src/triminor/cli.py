@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from .coloring import chromatic_number
@@ -88,12 +89,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _cmd_gen(args) -> tuple[list[ReportLine], list[str]]:
+def _cmd_gen(args) -> list[ReportLine]:
+    """Count, or write each graph6 line as it is generated, so an
+    interrupted run keeps what it has written.  `--out` is opened at the
+    first graph, so a run that generates none leaves it untouched."""
     spec = GenSpec(args.n, args.min_degree, args.prune, args.max_edges)
     if args.count_only:
         count = generate_count(spec)
-        return [ReportLine("gen", f"n={args.n}", "witness", {"count": count})], []
-    return [], [write_graph6(g) for g in generate(spec)]
+        return [ReportLine("gen", f"n={args.n}", "witness", {"count": count})]
+    with ExitStack() as stack:
+        out = None if args.out else sys.stdout
+        for g in generate(spec):
+            if out is None:
+                out = stack.enter_context(open(args.out, "w"))
+            out.write(write_graph6(g) + "\n")
+    return []
 
 
 def _cmd_minor(args) -> list[ReportLine]:
@@ -173,10 +183,9 @@ def _cmd_density(args) -> list[ReportLine]:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    corpus_lines: list[str] = []
     try:
         if args.command == "gen":
-            lines, corpus_lines = _cmd_gen(args)
+            lines = _cmd_gen(args)
         elif args.command == "minor":
             lines = _cmd_minor(args)
         elif args.command == "triangles":
@@ -192,12 +201,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"triminor: {exc}", file=sys.stderr)
         return 2
-    if corpus_lines:
-        text = "".join(line + "\n" for line in corpus_lines)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
     emit_report(lines, sys.stdout, timing=args.timing)
     return 1 if any(l.verdict == "fail" for l in lines) else 0
 

@@ -79,22 +79,21 @@ def _is_canonical_child(g: Graph, added: tuple[int, int]) -> bool:
 
     The canonical deletion edge minimises (invariant, pair certificate),
     an isomorphism-invariant key, so exactly one augmentation orbit leading
-    to each child class is ever accepted.
+    to each child class is ever accepted.  Pair certificates are computed
+    only when another edge ties the added one on the invariant.
     """
-    edges = g.edges()
-    if len(edges) == 1:
-        return True
     inv_added = _edge_invariant(g, *added)
-    cheapest = min(_edge_invariant(g, u, v) for u, v in edges)
-    if inv_added != cheapest:
-        return False
-    cert_added = pair_cert(g, *added)
-    for u, v in edges:
-        if (u, v) == added or _edge_invariant(g, u, v) != cheapest:
-            continue
-        if pair_cert(g, u, v) < cert_added:
+    ties = []
+    for u, v in g.edges():
+        inv = _edge_invariant(g, u, v)
+        if inv < inv_added:
             return False
-    return True
+        if inv == inv_added and (u, v) != added:
+            ties.append((u, v))
+    if not ties:
+        return True
+    cert_added = pair_cert(g, *added)
+    return all(pair_cert(g, u, v) >= cert_added for u, v in ties)
 
 
 def _with_edge(g: Graph, u: int, v: int) -> Graph:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
@@ -601,5 +600,8 @@ def _parallel_map(fn, items, params):
     workers = int(params.get("workers", 1))
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here so that a one-worker run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))

@@ -1,5 +1,10 @@
 import itertools
 import random
+from math import comb
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     all_graphs_on,
@@ -10,6 +15,7 @@ from oracles import (
     random_graph_for_tests,
 )
 from triminor.canon import (
+    _refine,
     automorphisms,
     canonical_cert,
     is_isomorphic,
@@ -174,3 +180,107 @@ def test_automorphisms_generate_the_cell_stabiliser():
 def test_cert_first_byte_is_vertex_count():
     for g in (complete(1), complete(7), petersen()):
         assert canonical_cert(g)[0] == g.n
+
+
+def _refine_all_cells(adj, cells):
+    """Refinement that counts into every cell each round: the reference for
+    the splitter version in canon._refine."""
+    while True:
+        masks = [sum(1 << v for v in c) for c in cells]
+        out = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                sig = tuple((adj[v] & m).bit_count() for m in masks)
+                groups.setdefault(sig, []).append(v)
+            if len(groups) > 1:
+                changed = True
+                for sig in sorted(groups):
+                    out.append(groups[sig])
+            else:
+                out.append(cell)
+        cells = out
+        if not changed:
+            return cells
+
+
+def _random_ordered_partition(n, rng):
+    vertices = list(range(n))
+    rng.shuffle(vertices)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    return [vertices[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+
+
+def test_refine_matches_counting_into_every_cell():
+    rng = random.Random(2024)
+    for _ in range(20_000):
+        n = rng.randint(1, 12)
+        g = random_graph_for_tests(n, rng, p=rng.uniform(0.1, 0.9))
+        cells = _random_ordered_partition(n, rng)
+        assert _refine(g.adj, [c[:] for c in cells]) == _refine_all_cells(g.adj, cells), (
+            g.adj, cells)
+
+
+def test_refine_after_individualising_a_vertex_counts_into_it_alone():
+    # _min_key splits v off a cell of an equitable partition and passes
+    # [[v]] as the only splitter
+    rng = random.Random(5)
+    hosts = [petersen(), complete_multipartite(2, 3, 3), double_axle_wheel(5),
+             complement(make_graph(9, [(i, (i + 1) % 9) for i in range(9)]))]
+    hosts += [random_graph_for_tests(rng.randint(2, 12), rng, p=rng.uniform(0.1, 0.9))
+              for _ in range(300)]
+    cases = 0
+    for g in hosts:
+        for start in ([list(range(g.n))], _random_ordered_partition(g.n, rng)):
+            equitable = _refine_all_cells(g.adj, start)
+            for idx, cell in enumerate(equitable):
+                for v in cell if len(cell) > 1 else ():
+                    cells = (equitable[:idx] + [[v], [w for w in cell if w != v]]
+                             + equitable[idx + 1:])
+                    assert _refine(g.adj, cells, [[v]]) == _refine_all_cells(g.adj, cells), (
+                        g.adj, cells)
+                    cases += 1
+    assert cases > 1000
+
+
+@st.composite
+def graphs_with_relabelling_and_flips(draw):
+    n = draw(st.integers(1, 9))
+    g = graph_from_code(n, draw(st.integers(0, (1 << comb(n, 2)) - 1)))
+    perm = draw(st.permutations(range(n)))
+    pairs = list(itertools.combinations(range(n), 2))
+    flips = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=2)) if pairs else []
+    return g, perm, flips
+
+
+def _to_nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _flipped(g, pairs):
+    return make_graph(g.n, sorted(set(g.edges()).symmetric_difference(pairs)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(graphs_with_relabelling_and_flips())
+def test_cert_equality_is_networkx_isomorphism(case):
+    # the relabelling is isomorphic; the one-edge flip never is; flipping
+    # an edge off and a non-edge on keeps the edge count, so only the
+    # structure can tell the two apart
+    g, perm, flips = case
+    relabelled = _relabel(g, perm)
+    others = [relabelled]
+    if flips:
+        others.append(_flipped(relabelled, flips[:1]))
+        if g.has_edge(*flips[0]) != g.has_edge(*flips[1]):
+            others.append(_flipped(g, flips))
+    for h in others:
+        same = canonical_cert(g) == canonical_cert(h)
+        assert same == nx.is_isomorphic(_to_nx(g), _to_nx(h)), (g.adj, h.adj)

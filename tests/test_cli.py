@@ -76,6 +76,40 @@ def test_gen_corpus_and_count(tmp_path):
     assert records(proc.stdout)[0]["witness"]["count"] == 11
 
 
+def test_gen_writes_each_graph_before_generation_fails(monkeypatch, capsys, tmp_path):
+    import triminor.cli as cli
+    from triminor.generate import GenSpec, generate
+
+    first_two = list(generate(GenSpec(4)))[:2]
+    expected = "".join(write_graph6(g) + "\n" for g in first_two)
+
+    def fails_after_two(spec):
+        yield from first_two
+        raise ValueError("generation stopped")
+
+    monkeypatch.setattr(cli, "generate", fails_after_two)
+    assert main(["gen", "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert "generation stopped" in captured.err
+    out = tmp_path / "partial.g6"
+    assert main(["gen", "--n", "4", "--out", str(out)]) == 2
+    assert out.read_text() == expected
+
+
+def test_gen_out_untouched_when_nothing_is_generated(tmp_path):
+    # K5 is the only 5-vertex graph of minimum degree 4, and it is pruned
+    out = tmp_path / "none.g6"
+    assert main(["gen", "--n", "5", "--min-degree", "4", "--prune", "K5",
+                 "--out", str(out)]) == 0
+    assert not out.exists()
+
+
+def test_gen_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    assert main(["gen", "--n", "4", "--out", str(tmp_path / "missing" / "x.g6")]) == 2
+    assert "No such file" in capsys.readouterr().err
+
+
 def test_chroma_density_rigidity_roundtrip():
     g6 = write_graph6(complete_multipartite(2, 2, 2, 2, 2))
     assert records(run_cli(["chroma", g6]).stdout)[0]["witness"]["chi"] == 5
