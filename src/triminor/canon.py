@@ -176,15 +176,16 @@ def pair_cert(g: Graph, u: int, v: int) -> bytes:
     return key.to_bytes(nbytes, "big")
 
 
-def automorphisms(g: Graph, cells: list[list[int]]) -> list[list[int]]:
-    """Permutations generating the automorphisms of g that map every cell
-    onto itself, from one canonical search.
+def automorphisms(g: Graph, cells: list[list[int]]) -> list[tuple[int, ...]]:
+    """Distinct permutations generating the automorphisms of g that map
+    every cell onto itself, from one canonical search.
 
     `cells` partitions V(g) into non-empty lists; perm[v] is the image of v.
     """
     autos: list[list[int]] = []
     _min_key(g, cells, autos)
-    return autos
+    # searches often reach one automorphism along several leaves
+    return list(dict.fromkeys(map(tuple, autos)))
 
 
 def pair_orbits(g: Graph, pairs: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -194,8 +195,7 @@ def pair_orbits(g: Graph, pairs: list[tuple[int, int]]) -> list[list[tuple[int, 
     non-edges, or all pairs, say).  Each orbit lists its pairs in input
     order, and the orbits come in the order of their first pair.
     """
-    # searches often reach one automorphism along several leaves
-    autos = list(dict.fromkeys(map(tuple, automorphisms(g, [list(range(g.n))]))))
+    autos = automorphisms(g, [list(range(g.n))])
     index = {pair: i for i, pair in enumerate(pairs)}
     seen = [False] * len(pairs)
     orbits: list[list[tuple[int, int]]] = []

@@ -4,13 +4,16 @@ graph6 input.
 Reports stream to stdout as one JSON record per line (fields: check, input,
 verdict, witness, millis); diagnostics go to stderr; corpora are plain
 graph6 lines.  Exit status: 0 all pass, 1 a checked claim failed (the
-offending record carries the witness), 2 usage error.  Timing fields are
-zeroed unless --timing is given, so identical invocations are byte-identical.
+offending record carries the witness), 2 usage error, 141 (as for a process
+ended by SIGPIPE) when the reader closes stdout early, as `| head` does,
+with no message.  Timing fields are zeroed unless --timing is given, so
+identical invocations are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -23,6 +26,8 @@ from .minors import EXHAUSTIVE_HOST_LIMIT, has_minor
 from .reports import ReportLine, emit_report
 from .rigidity import stress_space_dim
 from .verify import CHECK_IDS, density_verdict, run_check
+
+EXIT_READER_GONE = 128 + 13  # 128 + SIGPIPE, the status a shell reports
 
 
 def _read_graphs(token: str) -> list[Graph]:
@@ -198,11 +203,27 @@ def main(argv=None) -> int:
             lines = _cmd_chroma(args)
         else:
             lines = _cmd_density(args)
+        emit_report(lines, sys.stdout, timing=args.timing)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_READER_GONE
     except (ValueError, OSError) as exc:
         print(f"triminor: {exc}", file=sys.stderr)
         return 2
-    emit_report(lines, sys.stdout, timing=args.timing)
     return 1 if any(l.verdict == "fail" for l in lines) else 0
+
+
+def _discard_stdout() -> None:
+    """Point the stdout descriptor at devnull, so that the flush at exit
+    cannot meet the closed pipe again and print a traceback."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no descriptor behind it: nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -103,11 +103,24 @@ def _with_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.n, tuple(rows), g.edge_count + 1)
 
 
-def orderly_stream(n: int, keep: Callable[[Graph], bool]) -> Iterator[Graph]:
-    """All graphs on n vertices passing the hereditary predicate `keep`,
-    one per isomorphism class, in deterministic level (edge count) order."""
+def _any_graph(g: Graph) -> bool:
+    return True
+
+
+def orderly_stream(
+    n: int, keep: Callable[[Graph], bool], keep_after: Callable[[Graph], bool] = _any_graph
+) -> Iterator[Graph]:
+    """All graphs on n vertices passing the hereditary predicates `keep` and
+    `keep_after`, one per isomorphism class, in deterministic level (edge
+    count) order.
+
+    A child is asked `keep` before the canonical test and `keep_after` only
+    once that test accepts it, so a cheap predicate (a degree or edge cap)
+    saves canonical tests, and a costly one (a minor verdict) is asked once
+    per class instead of once per orbit of augmentations.
+    """
     empty = from_rows(n, [0] * n)
-    if not keep(empty):
+    if not (keep(empty) and keep_after(empty)):
         return
     level = [empty]
     yield empty
@@ -122,7 +135,7 @@ def orderly_stream(n: int, keep: Callable[[Graph], bool]) -> Iterator[Graph]:
             ]
             for u, v in _orbit_reps(parent, non_edges):
                 child = _with_edge(parent, u, v)
-                if keep(child) and _is_canonical_child(child, (u, v)):
+                if keep(child) and _is_canonical_child(child, (u, v)) and keep_after(child):
                     nxt.append(child)
         level = nxt
         yield from level
@@ -141,9 +154,10 @@ def generate(spec: GenSpec) -> Iterator[Graph]:
     else:
         direct_budget = n * (n - 1) // 2
 
-    def emits(g: Graph) -> bool:
-        if spec.max_edges is not None and g.edge_count > spec.max_edges:
-            return False
+    def under_edge_cap(g: Graph) -> bool:
+        return spec.max_edges is None or g.edge_count <= spec.max_edges
+
+    def minor_free(g: Graph) -> bool:
         return r is None or not kr_minor_verdict(g, r)
 
     if comp_budget < direct_budget:
@@ -153,15 +167,10 @@ def generate(spec: GenSpec) -> Iterator[Graph]:
 
         for s in orderly_stream(n, keep):
             g = complement(s)
-            if emits(g):
+            if under_edge_cap(g) and minor_free(g):
                 yield g
     else:
-        def keep(g: Graph) -> bool:
-            if spec.max_edges is not None and g.edge_count > spec.max_edges:
-                return False
-            return r is None or not kr_minor_verdict(g, r)
-
-        for g in orderly_stream(n, keep):
+        for g in orderly_stream(n, under_edge_cap, minor_free):
             if g.min_degree() >= spec.min_degree or g.n == 1:
                 yield g
 

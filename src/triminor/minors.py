@@ -8,13 +8,17 @@ non-complete pattern the search (_search_model) places branch sets one
 pattern vertex at a time, enumerating candidate connected subsets of the
 unused vertices and pruning on vertex budget and on required adjacency to
 already-placed sets.  Complete minors are decided by a narrower search: on a
-connected host the branch sets can be taken to partition the vertices (see
-_partition_model).  Hosts stay at or below 16 vertices, where these
+connected host the branch sets can be taken to partition the vertices, and
+the next part is grown from the uncovered vertex with the fewest uncovered
+neighbours (see _partition_model), after exact reductions that delete
+low-degree simplicial vertices and contract degree-2 ones (see
+_peel_for_clique).  Hosts stay at or below 16 vertices, where these
 exhaustive searches are fast.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -163,14 +167,17 @@ def _search_model(g: Graph, h: Graph) -> list[int] | None:
 
 def _partition_model(adj: tuple[int, ...], within: int, p: int) -> list[int] | None:
     """Branch-set masks of a complete minor on p vertices that partition the
-    connected vertex set `within`, or None when it has no such minor.
+    connected vertex set `within`, sorted by minimum vertex, or None when it
+    has no such minor.
 
     A vertex outside every branch set can join a set it is adjacent to, so
     a connected host has the minor iff its vertices split into p connected,
-    pairwise adjacent parts.  Sorted by minimum vertex, part i holds the
-    lowest uncovered vertex; the uncovered rest stays connected, since the
-    parts still to place are pairwise adjacent; and every placed part keeps
-    a neighbour in each of them.
+    pairwise adjacent parts.  The parts still to place are interchangeable,
+    so part i may be taken to hold any chosen uncovered vertex: the search
+    branches on the one with the fewest uncovered neighbours, lowest first
+    on a tie (fail-first), and grows the part over all the uncovered rest.
+    The rest stays connected, since the parts still to place are pairwise
+    adjacent; and every placed part keeps a neighbour in each of them.
     """
     if within.bit_count() < p:
         return None
@@ -212,11 +219,24 @@ def _partition_model(adj: tuple[int, ...], within: int, p: int) -> list[int] | N
                     return True
             return False
 
-        low = rest & -rest
-        return grow(low, adj[low.bit_length() - 1], rest & ~low,
+        # rest is connected with at least two vertices, so one uncovered
+        # neighbour is the fewest any of its vertices can have
+        start, fewest = 0, rest.bit_count()
+        todo = rest
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            d = (adj[low.bit_length() - 1] & rest).bit_count()
+            if d < fewest:
+                start, fewest = low, d
+                if d == 1:
+                    break
+        return grow(start, adj[start.bit_length() - 1], rest & ~start,
                     rest.bit_count() - after - 1)
 
-    return parts if place(0, within) else None
+    if not place(0, within):
+        return None
+    return sorted(parts, key=lambda m: m & -m)
 
 
 def _masks_to_witness(pattern: Graph, masks: list[int]) -> MinorWitness:
@@ -287,10 +307,13 @@ def _component_masks(adj: tuple[int, ...], alive: int) -> list[int]:
 def _peel_for_clique(g: Graph, r: int) -> tuple[Graph, int]:
     """Shrink g without changing whether it has a complete minor on r vertices.
 
-    Degree <= 1 vertices never help (their set could attach to at most one
-    other, but r - 1 >= 2 attachments are needed); for r >= 4 a degree-2
-    vertex can be contracted into a neighbour, since a branch set reduced to
-    that single vertex could attach to at most two others.
+    A simplicial vertex v of degree <= r - 2 (its live neighbours form a
+    clique, as any of degree <= 1 do) is deleted: a branch set that is v
+    alone reaches at most r - 2 others, and a larger one stays connected
+    without v, and keeps each of v's adjacencies, through the clique on
+    N(v).  For r >= 4 a degree-2 vertex can be contracted into a
+    neighbour, since a branch set reduced to that single vertex could
+    attach to at most two others.
 
     Returns g with the contractions applied, still on its own labels, and
     the mask of the vertices that survive; it may be empty.
@@ -307,7 +330,7 @@ def _peel_for_clique(g: Graph, r: int) -> tuple[Graph, int]:
             v = low.bit_length() - 1
             row = rows[v] & alive
             d = row.bit_count()
-            if d <= 1:
+            if d <= r - 2 and _is_clique(rows, row):
                 alive ^= low
                 changed = True
             elif d == 2 and r >= 4:
@@ -318,6 +341,17 @@ def _peel_for_clique(g: Graph, r: int) -> tuple[Graph, int]:
                 rows[b] |= 1 << a
                 changed = True
     return from_rows(g.n, rows), alive
+
+
+def _is_clique(rows: list[int], mask: int) -> bool:
+    """Whether the vertices of `mask` are pairwise adjacent in `rows`."""
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        if mask & ~rows[low.bit_length() - 1] != low:
+            return False
+    return True
 
 
 def _size_verdict(g: Graph, r: int) -> bool | None:
@@ -374,7 +408,7 @@ def attach_vertex(g: Graph, neighbourhood) -> Graph:
     return from_rows(g.n + 1, rows)
 
 
-def _orbit(subset: tuple[int, ...], gens: list[list[int]]) -> set[tuple[int, ...]]:
+def _orbit(subset: tuple[int, ...], gens: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
     """The orbit of a sorted subset under the group the permutations in gens
     generate, as sorted tuples."""
     orbit = {subset}

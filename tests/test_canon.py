@@ -15,6 +15,7 @@ from oracles import (
     random_graph_for_tests,
 )
 from triminor.canon import (
+    _min_key,
     _refine,
     automorphisms,
     canonical_cert,
@@ -31,6 +32,8 @@ from triminor.graphs import (
     petersen,
     petersen_complement,
 )
+from triminor.minors import attach_vertex
+from triminor.verify import load_corpus
 
 
 def _relabel(g, perm):
@@ -175,6 +178,25 @@ def test_automorphisms_generate_the_cell_stabiliser():
                 and all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())
             }
             assert _generated_group(automorphisms(g, cells), g.n) == brute, (g.adj, cells)
+
+
+def test_automorphisms_are_distinct_on_the_compk7_hosts():
+    # the lemma-compk7 hosts: a corpus graph plus a dominating vertex, with
+    # the apex candidates as one cell; the search reaches one generator
+    # along several leaves, and each must come back once
+    repeated = 0
+    for g in load_corpus():
+        host = attach_vertex(g, range(g.n))
+        cells = [list(range(g.n)), [g.n]]
+        gens = automorphisms(host, cells)
+        assert len(set(gens)) == len(gens), g.adj
+        raw: list[list[int]] = []
+        _min_key(host, cells, raw)
+        assert set(gens) == set(map(tuple, raw))
+        repeated += len(raw) > len(gens)
+        if g.n <= 8:
+            _assert_pair_orbits_match_brute(g)
+    assert repeated >= 7
 
 
 def test_cert_first_byte_is_vertex_count():

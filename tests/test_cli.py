@@ -1,10 +1,11 @@
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from triminor.cli import main
+from triminor.cli import EXIT_READER_GONE, main
 from triminor.graph6 import write_graph6
 from triminor.graphs import complete_multipartite
 from triminor.verify import CHECK_IDS, load_corpus
@@ -234,3 +235,20 @@ def test_lemma_compk7_reachable_from_cli_with_workers(monkeypatch, capsys):
     recs = records(outputs[1])
     assert [r["verdict"] for r in recs] == ["pass"] * 3
     assert recs[-1]["witness"] == {"graphs": 2, "failed": 0}
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader is gone, as under `| head`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--n", "7"],  # writes inside the command, line by line
+    ["minor", "--pattern", "K5", "I]~v~z~~o"],  # writes the records at the end
+])
+def test_closed_stdout_exits_quietly(args, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(args) == EXIT_READER_GONE == 141
+    assert capsys.readouterr().err == ""

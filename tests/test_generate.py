@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import random
 
 import pytest
@@ -272,3 +273,23 @@ def test_mader_bound_on_generated_minor_free():
                     (6, GenSpec(8, min_degree=5, prune="K6"))):
         for g in generate(spec):
             assert g.edge_count <= mader_edge_cap(g.n, r)
+
+
+def test_direct_side_pruning_asks_the_kernel_once_per_class(monkeypatch):
+    # the edge cap comes before the canonical test and the kernel after it,
+    # so each class is asked about once, where asking before the test asked
+    # once per augmentation orbit (5,918 calls here); same stream either way
+    gen_module = importlib.import_module("triminor.generate")
+    asked = []
+
+    def counting(g, r):
+        asked.append(canonical_cert(g))
+        return kr_minor_verdict(g, r)
+
+    monkeypatch.setattr(gen_module, "kr_minor_verdict", counting)
+    text = "".join(write_graph6(g) + "\n" for g in generate(GenSpec(7, prune="K5")))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "32f4e87f77b60f31fcc88f0336de59cd163fd31657c5bf6c6ee371291d4daa21"
+    )
+    assert text.count("\n") == 869
+    assert len(asked) == len(set(asked)) == 922

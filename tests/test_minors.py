@@ -22,14 +22,17 @@ from triminor.graphs import (
     contract_edge,
     double_axle_wheel,
     from_rows,
+    k_tree,
     mader_edge_cap,
     make_graph,
     petersen,
     petersen_complement,
 )
 from triminor.minors import (
+    _KR_MEMO,
     MinorWitness,
     _max_vertex_flow,
+    _peel_for_clique,
     apex_augment_check,
     attach_vertex,
     double_apex_check,
@@ -38,6 +41,7 @@ from triminor.minors import (
     validate_minor_witness,
     vertex_connectivity,
 )
+from triminor.verify import load_corpus
 
 
 def test_petersen_k5_witness():
@@ -277,6 +281,68 @@ def test_verdict_matches_contraction_oracle_near_edge_cap():
         verdicts.append(verdict)
     assert True in verdicts and False in verdicts
     assert contracted > 0
+
+
+def _fresh_verdict(g, r):
+    """kr_minor_verdict with an empty memo, so that a relabelled host is
+    searched again instead of answered from its certificate."""
+    _KR_MEMO.clear()
+    return kr_minor_verdict(g, r)
+
+
+def _reversed(g):
+    return from_rows(g.n, [
+        sum(1 << (g.n - 1 - u) for u in range(g.n) if g.adj[v] >> u & 1)
+        for v in reversed(range(g.n))
+    ])
+
+
+def test_verdict_survives_reversed_labels_on_apex_and_near_cap_hosts():
+    # the partition search branches on the uncovered vertex with the fewest
+    # uncovered neighbours, which need not be the lowest, so the part grown
+    # from it must range over lower vertices too; reversing the labels moves
+    # the vertices a rule that looked only upwards would miss
+    hosts = []
+    for g in load_corpus():
+        if g.n <= 8:
+            host = attach_vertex(g, range(g.n))
+            hosts += [(attach_vertex(host, subset), 7)
+                      for k in range(1, 7)
+                      for subset in itertools.combinations(range(g.n), k)]
+    rng = random.Random(41)
+    for _ in range(60):
+        n, r = rng.choice(((9, 6), (9, 7), (10, 7), (10, 8), (11, 8)))
+        m = mader_edge_cap(n, r) - rng.randint(0, 3)
+        hosts.append((make_graph(
+            n, rng.sample(list(itertools.combinations(range(n), 2)), m)), r))
+    memo, brute, verdicts = {}, 0, []
+    for g, r in hosts:
+        verdict = _fresh_verdict(g, r)
+        assert _fresh_verdict(_reversed(g), r) == verdict, (g.adj, r)
+        if g.n <= 9:  # the contraction oracle is cheap up to here
+            assert kr_minor_brute(g, r, memo) == verdict, (g.adj, r)
+            brute += 1
+        verdicts.append(verdict)
+    _KR_MEMO.clear()
+    assert len(hosts) == 1416 and brute > 100
+    assert verdicts.count(False) > 100 and verdicts.count(True) > 100
+
+
+def test_peel_deletes_simplicial_vertices_of_degree_at_most_r_minus_2():
+    # a 3-tree has minimum degree 3 and always a simplicial vertex of degree
+    # 3, so for K5 the peel empties it, and for K4 it leaves the K4 it holds
+    for seed in range(5):
+        g = k_tree(3, 12, seed)
+        assert g.min_degree() == 3
+        assert _peel_for_clique(g, 5)[1] == 0
+        assert _peel_for_clique(g, 4)[1] != 0
+        assert kr_minor_verdict(g, 5) is False
+        assert kr_minor_verdict(g, 4) is True
+    # a vertex on a triangle, deleted for K5 but not for K4, where a branch
+    # set of it alone reaches all three triangle vertices
+    g = make_graph(4, [(0, 1), (0, 2), (1, 2), (3, 0), (3, 1), (3, 2)])
+    assert _peel_for_clique(g, 5)[1] == 0
+    assert _peel_for_clique(g, 4)[1] == 0b1111
 
 
 def test_verdict_false_when_peel_empties_the_graph():
