@@ -4,6 +4,10 @@ Graphs on n vertices grow edge by edge from the empty graph.  A child is
 accepted only when the edge just added lies in the automorphism orbit of the
 child's canonical deletion edge (the orbit minimising an invariant key), so
 every isomorphism class is produced exactly once with no global seen-set.
+The filters run cheapest first, which changes no output (McKay,
+"Isomorph-free exhaustive generation", 1998): the invariant part of that
+test runs on every augmentation from the parent's own invariants, and the
+parent's automorphism search only on the augmentations it keeps.
 Hereditary pruning cuts whole subtrees: a predicate that can never be
 repaired by further edge additions (degree caps, edge caps, forbidden clique
 minors) rejects a graph together with all its supergraphs.
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .canon import pair_cert, pair_orbits
-from .graphs import Graph, complement, from_rows, mader_edge_cap
+from .graphs import Graph, bits, complement, from_rows, mader_edge_cap
 from .minors import EXHAUSTIVE_HOST_LIMIT, kr_minor_verdict
 
 PRUNE_IDS = ("none", "K4", "K5", "K6", "K7", "K8")
@@ -69,6 +73,53 @@ def _edge_invariant(g: Graph, u: int, v: int) -> tuple[int, int, int]:
     return du, dv, (g.adj[u] & g.adj[v]).bit_count()
 
 
+def _invariant_survivors(parent: Graph, non_edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The non-edges uv of parent whose child parent + uv has no edge with a
+    smaller `_edge_invariant` than uv, read off the parent's invariants.
+
+    Adding uv raises the degrees of u and v by one, and on an edge xw with
+    x in {u, v} it adds the other end of uv to the neighbours of x.  Every
+    other edge keeps its invariant, so the least of those is that of the
+    first parent edge, in invariant order, away from u and v.  Invariants
+    are compared as integers: with each field below 128, (d1, d2, common)
+    orders as d1 << 14 | d2 << 7 | common does.
+    """
+    adj = parent.adj
+    deg = [row.bit_count() for row in adj]
+    ranked = []
+    for x, row in enumerate(adj):
+        dx = deg[x]
+        for w in bits(row >> x + 1 << x + 1):
+            dw = deg[w]
+            key = dx << 14 | dw << 7 if dx <= dw else dw << 14 | dx << 7
+            ranked.append((key | (row & adj[w]).bit_count(), 1 << x | 1 << w))
+    ranked.sort()
+    survivors = []
+    for u, v in non_edges:
+        du, dv = deg[u] + 1, deg[v] + 1
+        added = du << 14 | dv << 7 if du <= dv else dv << 14 | du << 7
+        added |= (adj[u] & adj[v]).bit_count()
+        ends = 1 << u | 1 << v
+        smaller = False
+        for key, mask in ranked:
+            if not mask & ends:
+                smaller = key < added
+                break
+        for x, y, dx in ((u, v, du), (v, u, dv)):
+            if smaller:
+                break
+            row = adj[x] | 1 << y
+            for w in bits(adj[x]):
+                dw = deg[w]
+                key = dx << 14 | dw << 7 if dx <= dw else dw << 14 | dx << 7
+                if key | (row & adj[w]).bit_count() < added:
+                    smaller = True
+                    break
+        if not smaller:
+            survivors.append((u, v))
+    return survivors
+
+
 def _orbit_reps(g: Graph, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """The least pair of each automorphism orbit of the given vertex pairs."""
     return sorted(min(o) for o in pair_orbits(g, pairs))
@@ -114,10 +165,18 @@ def orderly_stream(
     `keep_after`, one per isomorphism class, in deterministic level (edge
     count) order.
 
-    A child is asked `keep` before the canonical test and `keep_after` only
-    once that test accepts it, so a cheap predicate (a degree or edge cap)
-    saves canonical tests, and a costly one (a minor verdict) is asked once
-    per class instead of once per orbit of augmentations.
+    Per parent, the filters run cheapest first.  The invariant part of the
+    canonical test runs on every non-edge, from the parent's invariants
+    (`_invariant_survivors`); `keep` is asked of each survivor; the
+    automorphism search (`_orbit_reps`) runs on what is left, and only when
+    two or more pairs are; the least pair of each orbit then meets the full
+    `_is_canonical_child` test, and `keep_after` only once that accepts it.
+    The invariant test and `keep` must both be isomorphism-invariant, so
+    what survives them is a union of orbits, and its orbit reps are those
+    of all the non-edges that survive, in the same order: the order of the
+    filters changes no output.  A cheap predicate (a degree or edge cap) is
+    `keep`, a costly one (a minor verdict) `keep_after`, asked once per
+    class instead of once per orbit of augmentations.
     """
     empty = from_rows(n, [0] * n)
     if not (keep(empty) and keep_after(empty)):
@@ -133,9 +192,13 @@ def orderly_stream(
                 for v in range(u + 1, n)
                 if not parent.adj[u] >> v & 1
             ]
-            for u, v in _orbit_reps(parent, non_edges):
+            kept = [
+                (u, v) for u, v in _invariant_survivors(parent, non_edges)
+                if keep(_with_edge(parent, u, v))
+            ]
+            for u, v in kept if len(kept) < 2 else _orbit_reps(parent, kept):
                 child = _with_edge(parent, u, v)
-                if keep(child) and _is_canonical_child(child, (u, v)) and keep_after(child):
+                if _is_canonical_child(child, (u, v)) and keep_after(child):
                     nxt.append(child)
         level = nxt
         yield from level

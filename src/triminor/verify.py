@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import combinations
 from math import comb
@@ -154,7 +154,7 @@ def _failures(out: list[ReportLine]) -> int:
 
 def _summary(check: str, out: list[ReportLine], payload, ok: bool = True) -> list[ReportLine]:
     """Append the summary record to out and return out; it passes only if ok
-    holds and no record in out failed."""
+    holds and no record in out failed.  `run_check` sets its millis."""
     ok = ok and not _failures(out)
     out.append(ReportLine(check, "summary", "pass" if ok else "fail", payload))
     return out
@@ -312,7 +312,7 @@ def _check_lemma_compk8(params: dict) -> list[ReportLine]:
         raise ValueError(f"lemma-compk8 takes n in 8..11, got {n}")
     if n == 11:
         print("lemma-compk8 --n 11 runs long: the complement-side stream alone "
-              "has 868,311 classes, which took 688 s on a 2-core machine, and "
+              "has 868,311 classes, which took 222 s on a 2-core machine, and "
               "each class then gets one minor query", file=sys.stderr)
     out = []
     graphs = list(generate(GenSpec(n, min_degree=6, prune="K7")))
@@ -583,7 +583,11 @@ _CHECK_PARAMS = {
 
 
 def run_check(check_id: str, **params) -> list[ReportLine]:
-    """Run one named check; returns its report records (summary last)."""
+    """Run one named check; returns its report records (summary last).
+
+    The summary record carries the whole check's elapsed millis, generation
+    and any sweep included.
+    """
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; have {CHECK_IDS}")
     unread = set(params) - _CHECK_PARAMS.get(check_id, set())
@@ -592,7 +596,10 @@ def run_check(check_id: str, **params) -> list[ReportLine]:
     for name in ("samples", "workers"):
         if name in params and int(params[name]) < 1:
             raise ValueError(f"{name} must be at least 1, got {params[name]}")
-    return _CHECKS[check_id](params)
+    t0 = time.monotonic()
+    out = _CHECKS[check_id](params)
+    out[-1] = replace(out[-1], millis=_millis(t0))
+    return out
 
 
 def _parallel_map(fn, items, params):

@@ -237,6 +237,32 @@ def test_lemma_compk7_reachable_from_cli_with_workers(monkeypatch, capsys):
     assert recs[-1]["witness"] == {"graphs": 2, "failed": 0}
 
 
+def test_summary_carries_the_whole_checks_time_under_timing(monkeypatch, capsys):
+    # generation runs before any graph's record starts its clock, so only
+    # the summary's time counts it; without --timing every millis is 0
+    import time
+
+    import triminor.verify as verify
+
+    real_generate = verify.generate
+
+    def slow_generate(spec):
+        time.sleep(0.05)
+        return real_generate(spec)
+
+    monkeypatch.setattr(verify, "generate", slow_generate)
+    args = ["verify", "--check", "lemma-compk8", "--n", "8"]
+    assert main(args) == 0
+    plain = records(capsys.readouterr().out)
+    assert main(["--timing", *args]) == 0
+    timed = records(capsys.readouterr().out)
+    assert all(r["millis"] == 0 for r in plain)
+    assert [dict(r, millis=0) for r in timed] == plain
+    summary = timed[-1]
+    assert summary["input"] == "summary" and summary["millis"] >= 50
+    assert summary["millis"] >= sum(r["millis"] for r in timed[:-1])
+
+
 class _ClosedPipe(io.StringIO):
     """A stdout whose reader is gone, as under `| head`."""
 

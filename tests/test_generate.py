@@ -9,6 +9,7 @@ from triminor.canon import canonical_cert, is_isomorphic, pair_cert
 from triminor.generate import (
     GenSpec,
     _edge_invariant,
+    _invariant_survivors,
     _is_canonical_child,
     _orbit_reps,
     _with_edge,
@@ -21,6 +22,7 @@ from triminor.graphs import (
     complete,
     complete_multipartite,
     double_axle_wheel,
+    from_rows,
     make_graph,
     mader_edge_cap,
 )
@@ -198,16 +200,101 @@ def test_canonical_child_test_matches_reference_on_every_child():
     assert checked == 1170 and 0 < accepted < checked
 
 
-# sha256 of `triminor gen --n 9 --min-degree 5`, the graph6 lines in stream
-# order; a canon or generation change that emits other representatives, or
-# the same ones in another order, must re-capture it on purpose
-GEN9_MINDEG5_SHA256 = "4ef7cb396e8c48e2977666594be4ad62ac9ce437ca5f64a8b09e9ab464222d74"
+def _survivors_by_full_scan(parent, non_edges):
+    """Reference: build each child and scan all its edges."""
+    out = []
+    for u, v in non_edges:
+        child = _with_edge(parent, u, v)
+        inv = _edge_invariant(child, u, v)
+        if all(_edge_invariant(child, a, b) >= inv for a, b in child.edges()):
+            out.append((u, v))
+    return out
 
 
-def test_gen9_min_degree5_stream_is_pinned():
-    text = "".join(write_graph6(g) + "\n" for g in generate(GenSpec(9, min_degree=5)))
-    assert text.count("\n") == 1165
-    assert hashlib.sha256(text.encode()).hexdigest() == GEN9_MINDEG5_SHA256
+def _sparse_graph(n, rng):
+    """A seeded graph on n vertices with maximum degree at most 3."""
+    rows = [0] * n
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.sample(range(n), 2)
+        if rows[u].bit_count() < 3 and rows[v].bit_count() < 3:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return from_rows(n, rows)
+
+
+def test_invariant_prefilter_matches_full_scan():
+    # the survivors are a union of automorphism orbits, so their orbit reps
+    # are the reps of all the non-edges that survive, in the same order
+    rng = random.Random(41)
+    parents = list(orderly_stream(7, lambda g: True))
+    parents += [_sparse_graph(rng.choice((9, 10)), rng) for _ in range(150)]
+    kept = dropped = 0
+    for parent in parents:
+        n = parent.n
+        non_edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if not parent.has_edge(u, v)
+        ]
+        survivors = _invariant_survivors(parent, non_edges)
+        assert survivors == _survivors_by_full_scan(parent, non_edges), parent.adj
+        reps = _orbit_reps(parent, non_edges)
+        assert _orbit_reps(parent, survivors) == [r for r in reps if r in survivors]
+        kept += len(survivors)
+        dropped += len(non_edges) - len(survivors)
+    assert kept > 0 and dropped > 0
+
+
+@pytest.mark.parametrize("spec, searches, pair_certs", [
+    (GenSpec(9, min_degree=5), 454, 2203),
+    (GenSpec(9, min_degree=6, prune="K7"), 36, 197),
+])
+def test_parent_automorphism_search_only_on_invariant_survivors(
+    monkeypatch, spec, searches, pair_certs
+):
+    # one search per parent would be 1,165 and 70 here; the pair
+    # certificates of the canonical test do not change
+    gen_module = importlib.import_module("triminor.generate")
+    calls = {"pair_orbits": 0, "pair_cert": 0}
+
+    def counted(name):
+        inner = getattr(gen_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gen_module, name, counted(name))
+    sum(1 for _ in generate(spec))
+    assert calls == {"pair_orbits": searches, "pair_cert": pair_certs}
+
+
+# sha256 of the `triminor gen` streams, the graph6 lines in stream order,
+# on the direct side (--n 7, --n 8) and the complement side
+# (--n 9 --min-degree 5, --n 10 --min-degree 6 --prune K7); a canon or
+# generation change that emits other representatives, or the same ones in
+# another order, must re-capture them on purpose; the two marked slow take
+# about 2 s each on a 2-core machine
+@pytest.mark.parametrize("spec, lines, digest", [
+    pytest.param(
+        GenSpec(7), 1044, "b3d2a50157446306d5e83c4e4bd27ce1bc152e99df6960255eda3350ac582f4a",
+        id="n7"),
+    pytest.param(
+        GenSpec(9, min_degree=5), 1165,
+        "4ef7cb396e8c48e2977666594be4ad62ac9ce437ca5f64a8b09e9ab464222d74",
+        id="n9-mindeg5"),
+    pytest.param(
+        GenSpec(8), 12346, "c0f3229aee910fddaef7fce68d5626c5c88f3a477153ede7647571fe567e8593",
+        id="n8", marks=pytest.mark.slow),
+    pytest.param(
+        GenSpec(10, min_degree=6, prune="K7"), 122,
+        "116b624060378164c1fc4e5299833300105ac2348b892d74b040c9cf71824869",
+        id="n10-mindeg6-K7", marks=pytest.mark.slow),
+])
+def test_gen_stream_is_pinned(spec, lines, digest):
+    text = "".join(write_graph6(g) + "\n" for g in generate(spec))
+    assert text.count("\n") == lines
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_stream_is_deterministic():

@@ -1,10 +1,13 @@
 import io
 import random
+from math import comb
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import random_graph_for_tests
+from oracles import graph_from_code, random_graph_for_tests
 from triminor.graph6 import parse_graph6, read_corpus, write_corpus, write_graph6
 from triminor.graphs import complete, make_graph
 from triminor.reports import ReportLine, emit_report, summarize
@@ -31,6 +34,30 @@ def test_roundtrip_random_graphs():
         for _ in range(4):
             g = random_graph_for_tests(n, rng, p=0.35)
             assert parse_graph6(write_graph6(g)) == g
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(1, 64).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << comb(n, 2)) - 1))))
+@example((62, (1 << comb(62, 2)) - 1))
+@example((63, 0))
+@example((63, (1 << comb(63, 2)) - 1))
+@example((64, 0))
+@example((64, (1 << comb(64, 2)) - 1))
+def test_roundtrip_every_size_against_networkx(case):
+    # a header byte up to 62 vertices and "~" plus three bytes at 63 and 64;
+    # networkx decodes the same edges, the long form included
+    n, code = case
+    g = graph_from_code(n, code)
+    text = write_graph6(g)
+    header = 1 if n <= 62 else 4
+    assert text.startswith("~") == (n > 62)
+    assert len(text) == header + -(-comb(n, 2) // 6)
+    assert all(63 <= ord(ch) <= 126 for ch in text)
+    assert parse_graph6(text) == g
+    h = nx.from_graph6_bytes(text.encode())
+    assert h.number_of_nodes() == n
+    assert sorted(tuple(sorted(e)) for e in h.edges()) == g.edges()
 
 
 def test_agrees_with_networkx():
