@@ -3,7 +3,7 @@
 from .canon import canonical_cert, is_isomorphic
 from .coloring import ChromaticResult, chromatic_number
 from .generate import GenSpec, generate, generate_count
-from .graph6 import parse_graph6, read_corpus, write_corpus, write_graph6
+from .graph6 import parse_graph6, read_corpus, write_graph6
 from .graphs import (
     EdgeTriangleReport,
     Graph,
@@ -83,6 +83,5 @@ __all__ = [
     "validate_minor_witness",
     "vertex_connectivity",
     "whiteley_reduce",
-    "write_corpus",
     "write_graph6",
 ]

@@ -104,7 +104,3 @@ def parse_corpus(text: str, source: str | Path) -> list[Graph]:
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: {exc}") from None
     return graphs
-
-
-def write_corpus(path: str | Path, graphs: list[Graph]) -> None:
-    Path(path).write_text("".join(write_graph6(g) + "\n" for g in graphs))

@@ -7,12 +7,15 @@ realised by at least one host edge between the corresponding sets.  For a
 non-complete pattern the search (_search_model) places branch sets one
 pattern vertex at a time, enumerating candidate connected subsets of the
 unused vertices and pruning on vertex budget and on required adjacency to
-already-placed sets.  Complete minors are decided by a narrower search: on a
-connected host the branch sets can be taken to partition the vertices, and
-the next part is grown from the uncovered vertex with the fewest uncovered
-neighbours (see _partition_model), after exact reductions that delete
+already-placed sets.  Complete minors are decided in this order (see
+kr_minor_verdict): size and edge-cap shortcuts; a greedy contraction probe
+that can only answer yes, and only with a contraction model (see
+_contraction_probe); the verdict memo; exact reductions that delete
 low-degree simplicial vertices and contract degree-2 ones (see
-_peel_for_clique).  Hosts stay at or below 16 vertices, where these
+_peel_for_clique); and last a narrower search: on a connected host the
+branch sets can be taken to partition the vertices, and the next part is
+grown from the uncovered vertex with the fewest uncovered neighbours (see
+_partition_model).  Hosts stay at or below 16 vertices, where these
 exhaustive searches are fast.
 """
 
@@ -364,14 +367,64 @@ def _size_verdict(g: Graph, r: int) -> bool | None:
     return None
 
 
+def _contraction_probe(g: Graph, r: int) -> list[int] | None:
+    """Branch-set masks of a complete minor on r vertices found by greedy
+    contraction, or None when the greedy run ends on a smaller clique.
+
+    Repeatedly takes the live vertex of minimum degree, lowest first: with
+    no live neighbour it is deleted, else it is contracted into the
+    neighbour that shares the fewest neighbours with it (lowest on a tie),
+    and its branch set joins that neighbour's.  Once the live vertices form
+    a clique, r of them realise the minor.  Every step is a deletion or a
+    contraction, so a returned model is always one; None proves nothing.
+    """
+    rows = list(g.adj)
+    sets = [1 << v for v in range(g.n)]
+    alive = (1 << g.n) - 1
+    live = g.n
+    while live >= r:
+        v, fewest = 0, live
+        m = alive
+        while m:
+            low = m & -m
+            m ^= low
+            d = (rows[low.bit_length() - 1] & alive).bit_count()
+            if d < fewest:
+                v, fewest = low.bit_length() - 1, d
+        if fewest == live - 1:  # every live vertex sees all the others
+            return [sets[u] for u in bits(alive)[:r]]
+        alive ^= 1 << v
+        live -= 1
+        row = rows[v] & alive
+        if not row:
+            continue
+        u, shared = 0, live
+        m = row
+        while m:
+            low = m & -m
+            m ^= low
+            c = (rows[low.bit_length() - 1] & row).bit_count()
+            if c < shared:
+                u, shared = low.bit_length() - 1, c
+        sets[u] |= sets[v]
+        rows[u] |= row & ~(1 << u)
+        m = row & ~(1 << u)
+        while m:
+            low = m & -m
+            m ^= low
+            rows[low.bit_length() - 1] |= 1 << u
+    return None
+
+
 def kr_minor_verdict(g: Graph, r: int) -> bool:
     """Memoized boolean: does g have a complete minor on r vertices?
 
-    The one place that decides it.  Size and edge-cap shortcuts come first,
-    then the memo; a computed verdict peels g, splits the rest into
+    The one place that decides it, in this order: size and edge-cap
+    shortcuts, a greedy contraction probe that can only answer yes, the
+    memo, then a computed verdict that peels g, splits the rest into
     components and gives each the size tests, a clique test and, last, the
     exhaustive search for a partition into connected, pairwise adjacent
-    parts.
+    parts.  Only computed verdicts are memoized.
     """
     if r <= 1:
         return g.n >= r
@@ -383,6 +436,8 @@ def kr_minor_verdict(g: Graph, r: int) -> bool:
     if r == 3:  # a triangle minor is exactly a cycle
         comps = _component_masks(g.adj, (1 << g.n) - 1)
         return g.edge_count > g.n - len(comps)
+    if _contraction_probe(g, r) is not None:
+        return True
     key = (canonical_cert(g), r)
     hit = _KR_MEMO.get(key)
     if hit is not None:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -261,6 +262,29 @@ def test_summary_carries_the_whole_checks_time_under_timing(monkeypatch, capsys)
     summary = timed[-1]
     assert summary["input"] == "summary" and summary["millis"] >= 50
     assert summary["millis"] >= sum(r["millis"] for r in timed[:-1])
+
+
+# sha256 of the default stdout (every millis 0) of `verify --check
+# lemma-compk8`, captured before the kernel had its contraction probe; a
+# kernel change that speeds up a verdict must leave every record as it was.
+# --n 9 exits 1 on the complement of C3+C6 (acceptance criterion 7); --n 10
+# takes 2-3 s on a 2-core machine
+@pytest.mark.parametrize("n, code, lines, digest", [
+    pytest.param(
+        "8", 0, 3, "20857b3c59bfc926be941d83d5246071a0399a30ea550b7577de99ccae506cd8",
+        id="n8"),
+    pytest.param(
+        "9", 1, 19, "819b7215c2464aa4c94582debac8daea9f9ff015fc5cc59de7760e8d2375b0f5",
+        id="n9"),
+    pytest.param(
+        "10", 0, 123, "8a08ca2cb6841934abb45a42b51f7a92b503812a9daba2932f66cfae66294f5f",
+        id="n10", marks=pytest.mark.slow),
+])
+def test_lemma_compk8_records_are_pinned(n, code, lines, digest, capsys):
+    assert main(["verify", "--check", "lemma-compk8", "--n", n]) == code
+    out = capsys.readouterr().out
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class _ClosedPipe(io.StringIO):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import graph_from_code, random_graph_for_tests
-from triminor.graph6 import parse_graph6, read_corpus, write_corpus, write_graph6
+from triminor.graph6 import parse_graph6, read_corpus, write_graph6
 from triminor.graphs import complete, make_graph
 from triminor.reports import ReportLine, emit_report, summarize
 from triminor.verify import CORPUS_RESOURCE, load_corpus
@@ -97,7 +97,7 @@ def test_malformed_inputs():
 def test_corpus_roundtrip_and_comments(tmp_path):
     graphs = [complete(3), complete(4), make_graph(2, [(0, 1)])]
     path = tmp_path / "c.g6"
-    write_corpus(path, graphs)
+    path.write_text("".join(write_graph6(g) + "\n" for g in graphs))
     assert read_corpus(path) == graphs
     path2 = tmp_path / "annotated.g6"
     path2.write_text("C~ the complete graph\n\nA_ one edge\n")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from contextlib import contextmanager
 from math import comb
 
 import pytest
@@ -15,7 +16,9 @@ from oracles import (
     st_separator_brute,
     vertex_connectivity_brute,
 )
+from triminor import minors
 from triminor.generate import GenSpec, generate
+from triminor.graph6 import parse_graph6
 from triminor.graphs import (
     complete,
     complete_multipartite,
@@ -31,6 +34,8 @@ from triminor.graphs import (
 from triminor.minors import (
     _KR_MEMO,
     MinorWitness,
+    _contraction_probe,
+    _masks_to_witness,
     _max_vertex_flow,
     _peel_for_clique,
     apex_augment_check,
@@ -262,18 +267,36 @@ def test_verdict_matches_contraction_oracle_random():
             assert kr_minor_verdict(g, r) == kr_minor_brute(g, r, memo)
 
 
-def test_verdict_matches_contraction_oracle_near_edge_cap():
-    # at most mader_edge_cap edges, so the cap cannot answer: the peel,
-    # the clique test or the partition search decides each graph
+@contextmanager
+def _probe(on):
+    """The kernel as it is, or with the contraction probe off and a memo of
+    its own, so that every positive it is asked about is computed by the
+    peel and the partition search."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not on:
+            mp.setattr(minors, "_contraction_probe", lambda g, r: None)
+            mp.setattr(minors, "_KR_MEMO", {})
+        yield
+
+
+PROBE_ON_OFF = pytest.mark.parametrize("probe", [True, False], ids=["probe", "no-probe"])
+
+
+@PROBE_ON_OFF
+def test_verdict_matches_contraction_oracle_near_edge_cap(probe):
+    # at most mader_edge_cap edges, so the cap cannot answer: the probe
+    # (when on), the peel, the clique test or the partition search decides
+    # each graph
     rng = random.Random(26)
     verdicts, contracted = [], 0
     for _ in range(40):
         n, r = rng.choice((9, 10)), rng.choice((6, 7))
         m = mader_edge_cap(n, r) - rng.randint(0, 4)
         g = make_graph(n, rng.sample(list(itertools.combinations(range(n), 2)), m))
-        verdict = kr_minor_verdict(g, r)
+        with _probe(probe):
+            verdict = kr_minor_verdict(g, r)
+            w = has_minor(g, complete(r))
         assert verdict == kr_minor_brute(g, r)
-        w = has_minor(g, complete(r))
         assert (w is not None) == verdict
         if w is not None:
             validate_minor_witness(g, w)
@@ -352,20 +375,55 @@ def test_verdict_false_when_peel_empties_the_graph():
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 8))
+def small_graphs(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
     return graph_from_code(n, draw(st.integers(0, (1 << comb(n, 2)) - 1)))
 
 
+@PROBE_ON_OFF
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(small_graphs(), st.integers(3, 6))
-def test_verdict_and_witness_match_contraction_oracle(g, r):
-    verdict = kr_minor_verdict(g, r)
+def test_verdict_and_witness_match_contraction_oracle(probe, g, r):
+    with _probe(probe):
+        verdict = kr_minor_verdict(g, r)
+        w = has_minor(g, complete(r))
     assert verdict == kr_minor_brute(g, r)
-    w = has_minor(g, complete(r))
     assert (w is not None) == verdict
     if w is not None:
         validate_minor_witness(g, w)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(small_graphs(max_n=9), st.integers(4, 7))
+def test_contraction_probe_models_are_witnesses(g, r):
+    masks = _contraction_probe(g, r)
+    if masks is not None:
+        validate_minor_witness(g, _masks_to_witness(complete(r), masks))
+    # the probe only ever answers yes, and never where the oracle says no
+    assert masks is None or kr_minor_brute(g, r)
+
+
+def test_contraction_probe_can_miss_a_minor():
+    # the Petersen graph has a K5 minor, but greedy contraction from its
+    # lowest vertex ends on a smaller clique, so the search must decide it;
+    # likewise a double-apex host of lemma-compk8 at n = 9
+    for g, r in [(petersen(), 5), (parse_graph6("JLr~v~}~~m?"), 8)]:
+        assert _contraction_probe(g, r) is None
+        assert kr_minor_verdict(g, r) is True
+        w = has_minor(g, complete(r))
+        validate_minor_witness(g, w)
+
+
+def test_contraction_probe_stops_at_a_clique_larger_than_r():
+    # K_{2,2,2,2} contracts to K6 (its Hadwiger number), so asked for K4 the
+    # probe returns four of the six branch sets it ends on
+    g = complete_multipartite(2, 2, 2, 2)
+    six = _contraction_probe(g, 6)
+    four = _contraction_probe(g, 4)
+    assert len(six) == 6 and four == six[:4]
+    assert _contraction_probe(g, 7) is None and kr_minor_verdict(g, 7) is False
+    for masks in (four, six):
+        validate_minor_witness(g, _masks_to_witness(complete(len(masks)), masks))
 
 
 def test_general_pattern_verdict_and_witness_match_contraction_oracle():
