@@ -6,8 +6,9 @@ child's canonical deletion edge (the orbit minimising an invariant key), so
 every isomorphism class is produced exactly once with no global seen-set.
 The filters run cheapest first, which changes no output (McKay,
 "Isomorph-free exhaustive generation", 1998): the invariant part of that
-test runs on every augmentation from the parent's own invariants, and the
-parent's automorphism search only on the augmentations it keeps.
+test runs on every augmentation from the parent's own invariants and hands
+the edges that tie on it to the certificate part, and the parent's
+automorphism search runs only on the augmentations it keeps.
 Hereditary pruning cuts whole subtrees: a predicate that can never be
 repaired by further edge additions (degree caps, edge caps, forbidden clique
 minors) rejects a graph together with all its supergraphs.
@@ -20,6 +21,7 @@ usually far smaller.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -66,23 +68,22 @@ class GenSpec:
         return None if self.prune == "none" else int(self.prune[1:])
 
 
-def _edge_invariant(g: Graph, u: int, v: int) -> tuple[int, int, int]:
-    du, dv = g.adj[u].bit_count(), g.adj[v].bit_count()
-    if du > dv:
-        du, dv = dv, du
-    return du, dv, (g.adj[u] & g.adj[v]).bit_count()
-
-
-def _invariant_survivors(parent: Graph, non_edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+def _invariant_survivors(
+    parent: Graph, non_edges: list[tuple[int, int]]
+) -> dict[tuple[int, int], list[tuple[int, int]]]:
     """The non-edges uv of parent whose child parent + uv has no edge with a
-    smaller `_edge_invariant` than uv, read off the parent's invariants.
+    smaller invariant than uv, read off the parent's invariants, each
+    mapped to the other edges of that child that tie with uv, in
+    `Graph.edges` order.  The invariant of an edge xw is (smaller degree,
+    larger degree, common neighbours) of x and w, compared in that order.
 
     Adding uv raises the degrees of u and v by one, and on an edge xw with
     x in {u, v} it adds the other end of uv to the neighbours of x.  Every
     other edge keeps its invariant, so the least of those is that of the
-    first parent edge, in invariant order, away from u and v.  Invariants
-    are compared as integers: with each field below 128, (d1, d2, common)
-    orders as d1 << 14 | d2 << 7 | common does.
+    first parent edge, in invariant order, away from u and v, and the ties
+    among them are the parent edges away from u and v with uv's invariant.
+    Invariants are compared as integers: with each field below 128,
+    (d1, d2, common) orders as d1 << 14 | d2 << 7 | common does.
     """
     adj = parent.adj
     deg = [row.bit_count() for row in adj]
@@ -94,7 +95,7 @@ def _invariant_survivors(parent: Graph, non_edges: list[tuple[int, int]]) -> lis
             key = dx << 14 | dw << 7 if dx <= dw else dw << 14 | dx << 7
             ranked.append((key | (row & adj[w]).bit_count(), 1 << x | 1 << w))
     ranked.sort()
-    survivors = []
+    survivors = {}
     for u, v in non_edges:
         du, dv = deg[u] + 1, deg[v] + 1
         added = du << 14 | dv << 7 if du <= dv else dv << 14 | du << 7
@@ -105,6 +106,7 @@ def _invariant_survivors(parent: Graph, non_edges: list[tuple[int, int]]) -> lis
             if not mask & ends:
                 smaller = key < added
                 break
+        ties = []
         for x, y, dx in ((u, v, du), (v, u, dv)):
             if smaller:
                 break
@@ -112,11 +114,20 @@ def _invariant_survivors(parent: Graph, non_edges: list[tuple[int, int]]) -> lis
             for w in bits(adj[x]):
                 dw = deg[w]
                 key = dx << 14 | dw << 7 if dx <= dw else dw << 14 | dx << 7
-                if key | (row & adj[w]).bit_count() < added:
+                key |= (row & adj[w]).bit_count()
+                if key < added:
                     smaller = True
                     break
+                if key == added:
+                    ties.append((x, w) if x < w else (w, x))
         if not smaller:
-            survivors.append((u, v))
+            lo = bisect_left(ranked, (added,))
+            hi = bisect_left(ranked, (added + 1,), lo)
+            ties += [
+                ((mask & -mask).bit_length() - 1, mask.bit_length() - 1)
+                for _, mask in ranked[lo:hi] if not mask & ends
+            ]
+            survivors[u, v] = sorted(ties)
     return survivors
 
 
@@ -125,22 +136,18 @@ def _orbit_reps(g: Graph, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]
     return sorted(min(o) for o in pair_orbits(g, pairs))
 
 
-def _is_canonical_child(g: Graph, added: tuple[int, int]) -> bool:
-    """Accept g iff the added edge lies in the canonical deletion orbit.
+def _is_canonical_child(
+    g: Graph, added: tuple[int, int], ties: list[tuple[int, int]]
+) -> bool:
+    """Accept g iff the added edge lies in the canonical deletion orbit,
+    given that no edge of g has a smaller invariant than the added one and
+    `ties` lists the others that share it (see `_invariant_survivors`).
 
     The canonical deletion edge minimises (invariant, pair certificate),
     an isomorphism-invariant key, so exactly one augmentation orbit leading
     to each child class is ever accepted.  Pair certificates are computed
     only when another edge ties the added one on the invariant.
     """
-    inv_added = _edge_invariant(g, *added)
-    ties = []
-    for u, v in g.edges():
-        inv = _edge_invariant(g, u, v)
-        if inv < inv_added:
-            return False
-        if inv == inv_added and (u, v) != added:
-            ties.append((u, v))
     if not ties:
         return True
     cert_added = pair_cert(g, *added)
@@ -169,8 +176,10 @@ def orderly_stream(
     canonical test runs on every non-edge, from the parent's invariants
     (`_invariant_survivors`); `keep` is asked of each survivor; the
     automorphism search (`_orbit_reps`) runs on what is left, and only when
-    two or more pairs are; the least pair of each orbit then meets the full
-    `_is_canonical_child` test, and `keep_after` only once that accepts it.
+    two or more pairs are; the least pair of each orbit then meets the
+    pair-certificate part of the canonical test (`_is_canonical_child`),
+    against the tied edges the invariant test found, and `keep_after` only
+    once that accepts it.
     The invariant test and `keep` must both be isomorphism-invariant, so
     what survives them is a union of orbits, and its orbit reps are those
     of all the non-edges that survive, in the same order: the order of the
@@ -192,13 +201,12 @@ def orderly_stream(
                 for v in range(u + 1, n)
                 if not parent.adj[u] >> v & 1
             ]
-            kept = [
-                (u, v) for u, v in _invariant_survivors(parent, non_edges)
-                if keep(_with_edge(parent, u, v))
-            ]
+            survivors = _invariant_survivors(parent, non_edges)
+            kept = [(u, v) for u, v in survivors if keep(_with_edge(parent, u, v))]
             for u, v in kept if len(kept) < 2 else _orbit_reps(parent, kept):
                 child = _with_edge(parent, u, v)
-                if _is_canonical_child(child, (u, v)) and keep_after(child):
+                if (_is_canonical_child(child, (u, v), survivors[u, v])
+                        and keep_after(child)):
                     nxt.append(child)
         level = nxt
         yield from level

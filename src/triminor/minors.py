@@ -15,8 +15,12 @@ low-degree simplicial vertices and contract degree-2 ones (see
 _peel_for_clique); and last a narrower search: on a connected host the
 branch sets can be taken to partition the vertices, and the next part is
 grown from the uncovered vertex with the fewest uncovered neighbours (see
-_partition_model).  Hosts stay at or below 16 vertices, where these
-exhaustive searches are fast.
+_partition_model).  That search also cuts every branch whose uncovered
+vertices have too few edges to hold the parts still to place: a spanning
+tree in each and an edge between each pair.  The bound is necessary for
+any completion, so it cuts only branches that fail anyway, and the first
+model found is the same with or without it.  Hosts stay at or below 16
+vertices, where these exhaustive searches are fast.
 """
 
 from __future__ import annotations
@@ -181,6 +185,20 @@ def _partition_model(adj: tuple[int, ...], within: int, p: int) -> list[int] | N
     on a tie (fail-first), and grows the part over all the uncovered rest.
     The rest stays connected, since the parts still to place are pairwise
     adjacent; and every placed part keeps a neighbour in each of them.
+
+    Edge-count bound: the `after` parts still to place once part i is
+    split the uncovered rest `left` exactly, each connected and each
+    adjacent to every other, so G[left] holds a spanning tree of every part
+    and, for every pair of parts, an edge between them; these edges are all
+    distinct, so e(left) >= |left| - after + C(after, 2).  The search keeps
+    slack = e(left) - |left| + after - C(after, 2), starting from the edge
+    count that the scan for the start vertex sums, and updating it as each
+    vertex x moves from left into the part: e(left) falls by x's
+    neighbours in left and |left| by one, so the slack rises by at most
+    one.  A part is placed only at slack >= 0, and a growth branch that can
+    take `budget` more vertices is cut once slack + budget < 0.  The bound
+    only cuts branches that cannot complete, so verdicts and the first
+    model found are the same as without it.
     """
     if within.bit_count() < p:
         return None
@@ -194,7 +212,9 @@ def _partition_model(adj: tuple[int, ...], within: int, p: int) -> list[int] | N
         after = p - 1 - i  # parts still to place once part i is
         placed = zones[:i]
 
-        def grow(s: int, nbhd: int, allowed: int, budget: int) -> bool:
+        def grow(s: int, nbhd: int, allowed: int, budget: int, slack: int) -> bool:
+            if slack + budget < 0:
+                return False  # each vertex s takes raises the slack by at most 1
             left = rest & ~s
             met = True
             for z in placed:
@@ -204,7 +224,7 @@ def _partition_model(adj: tuple[int, ...], within: int, p: int) -> list[int] | N
                     if not allowed & z:
                         return False
                     met = False
-            if (met and (nbhd & left).bit_count() >= after
+            if (met and slack >= 0 and (nbhd & left).bit_count() >= after
                     and _reach(adj, left & -left, left) == left):
                 parts[i] = s
                 zones[i] = nbhd
@@ -218,24 +238,28 @@ def _partition_model(adj: tuple[int, ...], within: int, p: int) -> list[int] | N
                 low = ext & -ext
                 ext ^= low
                 local &= ~low
-                if grow(s | low, nbhd | adj[low.bit_length() - 1], local, budget - 1):
+                row = adj[low.bit_length() - 1]
+                if grow(s | low, nbhd | row, local, budget - 1,
+                        slack + 1 - (row & left).bit_count()):
                     return True
             return False
 
-        # rest is connected with at least two vertices, so one uncovered
-        # neighbour is the fewest any of its vertices can have
-        start, fewest = 0, rest.bit_count()
+        # the first vertex with the fewest uncovered neighbours; the scan
+        # reads all of rest, since the degrees it sums are twice e(rest)
+        size = rest.bit_count()
+        start, fewest, degrees = 0, size, 0
         todo = rest
         while todo:
             low = todo & -todo
             todo ^= low
             d = (adj[low.bit_length() - 1] & rest).bit_count()
+            degrees += d
             if d < fewest:
                 start, fewest = low, d
-                if d == 1:
-                    break
+        # slack of left = rest minus start: e(left) - |left| + after - C(after, 2)
+        slack = degrees // 2 - fewest - size + 1 + after - comb(after, 2)
         return grow(start, adj[start.bit_length() - 1], rest & ~start,
-                    rest.bit_count() - after - 1)
+                    size - after - 1, slack)
 
     if not place(0, within):
         return None

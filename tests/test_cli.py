@@ -287,6 +287,26 @@ def test_lemma_compk8_records_are_pinned(n, code, lines, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the default stdout of `verify --check lemma-compk7` (all 23
+# corpus graphs) and `verify --check coloring-bound` at its defaults,
+# captured before the partition search had its edge-count bound; both
+# decide mostly negative kernel verdicts, in about 1 s each on a 2-core
+# machine
+@pytest.mark.parametrize("check, lines, digest", [
+    pytest.param(
+        "lemma-compk7", 24, "1e6ef9985a2c90ade0d9798c59e6d2d59f68d3bb1ec5e843ea2878ab9b4eca6e",
+        id="lemma-compk7"),
+    pytest.param(
+        "coloring-bound", 3, "1bd9bbfb1a8dc84d8644662a5032582b4f3cd9bf7d1bfbbf6846509c50ba03ec",
+        id="coloring-bound"),
+])
+def test_negative_verdict_check_records_are_pinned(check, lines, digest, capsys):
+    assert main(["verify", "--check", check]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class _ClosedPipe(io.StringIO):
     """A stdout whose reader is gone, as under `| head`."""
 

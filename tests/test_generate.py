@@ -8,7 +8,6 @@ from oracles import all_graphs_on, random_graph_for_tests
 from triminor.canon import canonical_cert, is_isomorphic, pair_cert
 from triminor.generate import (
     GenSpec,
-    _edge_invariant,
     _invariant_survivors,
     _is_canonical_child,
     _orbit_reps,
@@ -141,6 +140,13 @@ def test_no_duplicate_certs():
         assert len(certs) == len(set(certs))
 
 
+def _edge_invariant(g, u, v):
+    """Reference: the invariant of the canonical deletion key, (smaller
+    degree, larger degree, common neighbours) of u and v."""
+    du, dv = sorted((g.adj[u].bit_count(), g.adj[v].bit_count()))
+    return du, dv, (g.adj[u] & g.adj[v]).bit_count()
+
+
 def _orbit_reps_by_pair_cert(g, pairs):
     """Reference: group pairs by invariant, then by pair certificate, and
     keep the first pair of each group."""
@@ -193,7 +199,8 @@ def test_canonical_child_test_matches_reference_on_every_child():
                 if parent.has_edge(u, v):
                     continue
                 child = _with_edge(parent, u, v)
-                mine = _is_canonical_child(child, (u, v))
+                ties = _invariant_survivors(parent, [(u, v)]).get((u, v))
+                mine = ties is not None and _is_canonical_child(child, (u, v), ties)
                 assert mine == _is_canonical_child_by_min(child, (u, v)), (child.adj, u, v)
                 accepted += mine
                 checked += 1
@@ -201,13 +208,17 @@ def test_canonical_child_test_matches_reference_on_every_child():
 
 
 def _survivors_by_full_scan(parent, non_edges):
-    """Reference: build each child and scan all its edges."""
-    out = []
+    """Reference: build each child and scan all its edges; map each
+    survivor to the other child edges that tie with it."""
+    out = {}
     for u, v in non_edges:
         child = _with_edge(parent, u, v)
         inv = _edge_invariant(child, u, v)
         if all(_edge_invariant(child, a, b) >= inv for a, b in child.edges()):
-            out.append((u, v))
+            out[u, v] = [
+                (a, b) for a, b in child.edges()
+                if (a, b) != (u, v) and _edge_invariant(child, a, b) == inv
+            ]
     return out
 
 
@@ -228,19 +239,22 @@ def test_invariant_prefilter_matches_full_scan():
     rng = random.Random(41)
     parents = list(orderly_stream(7, lambda g: True))
     parents += [_sparse_graph(rng.choice((9, 10)), rng) for _ in range(150)]
-    kept = dropped = 0
+    kept = dropped = tied = 0
     for parent in parents:
         n = parent.n
         non_edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if not parent.has_edge(u, v)
         ]
         survivors = _invariant_survivors(parent, non_edges)
-        assert survivors == _survivors_by_full_scan(parent, non_edges), parent.adj
+        # the same survivors in the same order, each with the same ties
+        assert list(survivors.items()) == list(
+            _survivors_by_full_scan(parent, non_edges).items()), parent.adj
         reps = _orbit_reps(parent, non_edges)
-        assert _orbit_reps(parent, survivors) == [r for r in reps if r in survivors]
+        assert _orbit_reps(parent, list(survivors)) == [r for r in reps if r in survivors]
         kept += len(survivors)
         dropped += len(non_edges) - len(survivors)
-    assert kept > 0 and dropped > 0
+        tied += sum(1 for ties in survivors.values() if ties)
+    assert kept > tied > 0 and dropped > 0
 
 
 @pytest.mark.parametrize("spec, searches, pair_certs", [

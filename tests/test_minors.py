@@ -37,6 +37,7 @@ from triminor.minors import (
     _contraction_probe,
     _masks_to_witness,
     _max_vertex_flow,
+    _partition_model,
     _peel_for_clique,
     apex_augment_check,
     attach_vertex,
@@ -424,6 +425,56 @@ def test_contraction_probe_stops_at_a_clique_larger_than_r():
     assert _contraction_probe(g, 7) is None and kr_minor_verdict(g, 7) is False
     for masks in (four, six):
         validate_minor_witness(g, _masks_to_witness(complete(len(masks)), masks))
+
+
+def _clique_with_pendant_trees(q, n, rng):
+    """K_q on 0..q-1, each later vertex joined to one earlier vertex."""
+    edges = list(itertools.combinations(range(q), 2))
+    edges += [(rng.randrange(v), v) for v in range(q, n)]
+    return make_graph(n, edges)
+
+
+def test_partition_search_at_zero_edge_slack():
+    # K_q with pendant trees has exactly |V| - q + C(q, 2) edges: one
+    # spanning tree per part and one edge per pair of parts, no edge to
+    # spare, so the bound must let every level of the search through; one
+    # clique edge fewer leaves no K_q minor, and the bound alone refutes it
+    rng = random.Random(12)
+    for q in range(3, 7):
+        for n in range(q, q + 6):
+            g = _clique_with_pendant_trees(q, n, rng)
+            assert g.edge_count == n - q + comb(q, 2)
+            full = (1 << g.n) - 1
+            masks = _partition_model(g.adj, full, q)
+            assert masks is not None, g.adj
+            validate_minor_witness(g, _masks_to_witness(complete(q), masks))
+            assert sum(masks) == full
+            h = make_graph(n, [e for e in g.edges() if e != (0, q - 1)])
+            assert _partition_model(h.adj, full, q) is None, h.adj
+            assert not kr_minor_brute(h, q)
+
+
+@st.composite
+def connected_hosts(draw, max_n=9):
+    """A random spanning tree plus any set of further edges."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        edges |= draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))
+    return make_graph(n, sorted(edges))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(connected_hosts(), st.integers(4, 7))
+def test_partition_search_matches_contraction_oracle(g, r):
+    # asked directly, so neither the probe nor the peel settles the host
+    # before the search and its edge-count bound see it
+    full = (1 << g.n) - 1
+    masks = _partition_model(g.adj, full, r)
+    assert (masks is not None) == kr_minor_brute(g, r)
+    if masks is not None:
+        validate_minor_witness(g, _masks_to_witness(complete(r), masks))
+        assert sum(masks) == full
 
 
 def test_general_pattern_verdict_and_witness_match_contraction_oracle():
