@@ -2,12 +2,14 @@
 graph6 input.
 
 Reports stream to stdout as one JSON record per line (fields: check, input,
-verdict, witness, millis); diagnostics go to stderr; corpora are plain
+verdict, witness, millis), each written as it is made, so an interrupted
+run keeps what it has printed; diagnostics go to stderr; corpora are plain
 graph6 lines.  Exit status: 0 all pass, 1 a checked claim failed (the
-offending record carries the witness), 2 usage error, 141 (as for a process
-ended by SIGPIPE) when the reader closes stdout early, as `| head` does,
-with no message.  Timing fields are zeroed unless --timing is given, so
-identical invocations are byte-identical.
+offending record carries the witness), 2 usage or input error, which can
+follow records already written, 141 (as for a process ended by SIGPIPE)
+when the reader closes stdout early, as `| head` does, with no message.
+Timing fields are zeroed unless --timing is given, so identical
+invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterator
 from contextlib import ExitStack
 from pathlib import Path
 
 from .coloring import chromatic_number
 from .generate import GenSpec, generate, generate_count
 from .graph6 import parse_corpus, parse_graph6, read_corpus, write_graph6
-from .graphs import Graph, complete
+from .graphs import Graph, complete, min_triangle_edge
 from .minors import EXHAUSTIVE_HOST_LIMIT, has_minor
 from .reports import ReportLine, emit_report
 from .rigidity import stress_space_dim
@@ -94,116 +97,95 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _cmd_gen(args) -> list[ReportLine]:
+def _cmd_gen(args) -> Iterator[ReportLine]:
     """Count, or write each graph6 line as it is generated, so an
     interrupted run keeps what it has written.  `--out` is opened at the
     first graph, so a run that generates none leaves it untouched."""
     spec = GenSpec(args.n, args.min_degree, args.prune, args.max_edges)
     if args.count_only:
-        count = generate_count(spec)
-        return [ReportLine("gen", f"n={args.n}", "witness", {"count": count})]
+        yield ReportLine("gen", f"n={args.n}", "witness", {"count": generate_count(spec)})
+        return
     with ExitStack() as stack:
         out = None if args.out else sys.stdout
         for g in generate(spec):
             if out is None:
                 out = stack.enter_context(open(args.out, "w"))
             out.write(write_graph6(g) + "\n")
-    return []
 
 
-def _cmd_minor(args) -> list[ReportLine]:
-    if args.pattern.startswith("K") and args.pattern[1:].isdigit():
-        # no host may exceed EXHAUSTIVE_HOST_LIMIT vertices, so any larger
-        # clique answers as K_(limit+1) does, and is never built in full
-        pattern = complete(min(int(args.pattern[1:]), EXHAUSTIVE_HOST_LIMIT + 1))
-    else:
-        pattern = parse_graph6(args.pattern)
-    out = []
-    for g in _read_graphs(args.input):
-        w = has_minor(g, pattern)
-        payload = {
-            "pattern": args.pattern,
-            "result": "none" if w is None else "minor",
-        }
-        if w is not None:
-            payload["branch_sets"] = [sorted(s) for s in w.branch_sets]
-        out.append(ReportLine("minor", write_graph6(g), "witness", payload))
-    return out
-
-
-def _cmd_triangles(args) -> list[ReportLine]:
-    from .graphs import min_triangle_edge
-
-    out = []
-    for g in _read_graphs(args.input):
-        rep = min_triangle_edge(g, args.cap)
-        out.append(ReportLine(
-            "triangles", write_graph6(g), "witness",
-            {"min_count": rep.min_count, "edge": list(rep.edge),
-             "degree_cap": rep.degree_cap},
-        ))
-    return out
-
-
-def _cmd_verify(args) -> list[ReportLine]:
+def _cmd_verify(args) -> Iterator[ReportLine]:
     params = {name: getattr(args, name)
               for name in ("n", "samples", "seed", "workers")
               if getattr(args, name) is not None}
     return run_check(args.check, **params)
 
 
-def _cmd_rigidity(args) -> list[ReportLine]:
-    out = []
-    for g in _read_graphs(args.input):
-        v = stress_space_dim(g, args.d, seed=args.seed, trials=args.trials)
-        out.append(ReportLine(
-            "rigidity", write_graph6(g), "witness",
-            {"verdict": v.verdict, "dim": v.dim, "trials": v.trials,
-             "prime": v.prime, "error_bound": v.error_bound},
-        ))
-    return out
+def _per_graph(payload):
+    """The command that reports payload(args, g) for each input graph g."""
+    def command(args) -> Iterator[ReportLine]:
+        for g in _read_graphs(args.input):
+            yield ReportLine(args.command, write_graph6(g), "witness", payload(args, g))
+    return command
 
 
-def _cmd_chroma(args) -> list[ReportLine]:
-    out = []
-    for g in _read_graphs(args.input):
-        r = chromatic_number(g)
-        out.append(ReportLine("chroma", write_graph6(g), "witness",
-                              {"chi": r.chi, "coloring": list(r.coloring)}))
-    return out
+@_per_graph
+def _cmd_minor(args, g: Graph) -> dict:
+    if args.pattern.startswith("K") and args.pattern[1:].isdigit():
+        # no host may exceed EXHAUSTIVE_HOST_LIMIT vertices, so any larger
+        # clique answers as K_(limit+1) does, and is never built in full
+        pattern = complete(min(int(args.pattern[1:]), EXHAUSTIVE_HOST_LIMIT + 1))
+    else:
+        pattern = parse_graph6(args.pattern)
+    w = has_minor(g, pattern)
+    payload = {"pattern": args.pattern, "result": "none" if w is None else "minor"}
+    if w is not None:
+        payload["branch_sets"] = [sorted(s) for s in w.branch_sets]
+    return payload
 
 
-def _cmd_density(args) -> list[ReportLine]:
-    out = []
-    for g in _read_graphs(args.input):
-        v = density_verdict(g, args.k)
-        out.append(ReportLine(
-            "density", write_graph6(g), "witness",
-            {"k": args.k, "premise": v.premise, "conclusion": v.conclusion,
-             "triangles": v.triangles, "edges": v.edges},
-        ))
-    return out
+@_per_graph
+def _cmd_triangles(args, g: Graph) -> dict:
+    rep = min_triangle_edge(g, args.cap)
+    return {"min_count": rep.min_count, "edge": list(rep.edge),
+            "degree_cap": rep.degree_cap}
+
+
+@_per_graph
+def _cmd_rigidity(args, g: Graph) -> dict:
+    v = stress_space_dim(g, args.d, seed=args.seed, trials=args.trials)
+    return {"verdict": v.verdict, "dim": v.dim, "trials": v.trials,
+            "prime": v.prime, "error_bound": v.error_bound}
+
+
+@_per_graph
+def _cmd_chroma(args, g: Graph) -> dict:
+    r = chromatic_number(g)
+    return {"chi": r.chi, "coloring": list(r.coloring)}
+
+
+@_per_graph
+def _cmd_density(args, g: Graph) -> dict:
+    v = density_verdict(g, args.k)
+    return {"k": args.k, "premise": v.premise, "conclusion": v.conclusion,
+            "triangles": v.triangles, "edges": v.edges}
+
+
+_COMMANDS = {
+    "gen": _cmd_gen,
+    "minor": _cmd_minor,
+    "triangles": _cmd_triangles,
+    "verify": _cmd_verify,
+    "rigidity": _cmd_rigidity,
+    "chroma": _cmd_chroma,
+    "density": _cmd_density,
+}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            lines = _cmd_gen(args)
-        elif args.command == "minor":
-            lines = _cmd_minor(args)
-        elif args.command == "triangles":
-            lines = _cmd_triangles(args)
-        elif args.command == "verify":
-            lines = _cmd_verify(args)
-        elif args.command == "rigidity":
-            lines = _cmd_rigidity(args)
-        elif args.command == "chroma":
-            lines = _cmd_chroma(args)
-        else:
-            lines = _cmd_density(args)
-        emit_report(lines, sys.stdout, timing=args.timing)
+        failed = emit_report(_COMMANDS[args.command](args), sys.stdout,
+                             timing=args.timing)
         sys.stdout.flush()
     except BrokenPipeError:
         _discard_stdout()
@@ -211,7 +193,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"triminor: {exc}", file=sys.stderr)
         return 2
-    return 1 if any(l.verdict == "fail" for l in lines) else 0
+    return 1 if failed else 0
 
 
 def _discard_stdout() -> None:

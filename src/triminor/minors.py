@@ -195,10 +195,10 @@ def _partition_model(adj: tuple[int, ...], within: int, p: int) -> list[int] | N
     count that the scan for the start vertex sums, and updating it as each
     vertex x moves from left into the part: e(left) falls by x's
     neighbours in left and |left| by one, so the slack rises by at most
-    one.  A part is placed only at slack >= 0, and a growth branch that can
-    take `budget` more vertices is cut once slack + budget < 0.  The bound
-    only cuts branches that cannot complete, so verdicts and the first
-    model found are the same as without it.
+    one.  A part is placed only at slack >= 0, and the search does not grow
+    into a branch whose slack plus the vertices it may still take is
+    negative.  The bound only cuts branches that cannot complete, so
+    verdicts and the first model found are the same as without it.
     """
     if within.bit_count() < p:
         return None
@@ -213,8 +213,6 @@ def _partition_model(adj: tuple[int, ...], within: int, p: int) -> list[int] | N
         placed = zones[:i]
 
         def grow(s: int, nbhd: int, allowed: int, budget: int, slack: int) -> bool:
-            if slack + budget < 0:
-                return False  # each vertex s takes raises the slack by at most 1
             left = rest & ~s
             met = True
             for z in placed:
@@ -239,8 +237,10 @@ def _partition_model(adj: tuple[int, ...], within: int, p: int) -> list[int] | N
                 ext ^= low
                 local &= ~low
                 row = adj[low.bit_length() - 1]
-                if grow(s | low, nbhd | row, local, budget - 1,
-                        slack + 1 - (row & left).bit_count()):
+                child = slack + 1 - (row & left).bit_count()
+                # the child takes <= budget - 1 more vertices, each +1 slack at most
+                if child + budget > 0 and grow(s | low, nbhd | row, local,
+                                               budget - 1, child):
                     return True
             return False
 

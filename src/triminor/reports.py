@@ -1,8 +1,9 @@
 """Line-delimited verification records.
 
-One self-contained record per line so long-running sweeps stream results
-and survive interruption.  Field order is fixed: check, input, verdict,
-witness, millis.
+One self-contained record per line.  Records are written as the checks
+make them, so a long-running sweep streams its results and an interrupted
+one keeps what it has written.  Field order is fixed: check, input,
+verdict, witness, millis.
 """
 
 from __future__ import annotations
@@ -39,12 +40,15 @@ class ReportLine:
 
 
 def emit_report(lines: Iterable[ReportLine], stream: IO[str], timing: bool = False) -> int:
-    """Serialize records through a single writer; returns the number written."""
-    count = 0
+    """Write and flush each record as it arrives, through a single writer,
+    so a reader sees it at once and a run killed later keeps it; returns
+    the number of failed records."""
+    failed = 0
     for line in lines:
         stream.write(line.to_json(timing=timing) + "\n")
-        count += 1
-    return count
+        stream.flush()
+        failed += line.verdict == "fail"
+    return failed
 
 
 def summarize(lines: Iterable[ReportLine]) -> dict:

@@ -2,9 +2,10 @@
 claims: neighbourhood enumerations, apex sweeps, edge-addition minor facts,
 triangle density formulas, and colour bounds on sampled minor-free graphs.
 
-Every check streams one report record per input with a witness payload on
-failure, plus a final summary record, so a failed run pinpoints the exact
-graph, subset, or edge pair responsible.
+Every check is a generator that yields one report record per input as it
+is decided, with a witness payload on failure, and returns its final
+record.  A failed run pinpoints the exact graph, subset, or edge pair
+responsible, and an interrupted one keeps the records it has made.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import random
 import sys
 import time
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import combinations
@@ -148,22 +150,17 @@ def _line(check: str, input_id: str, verdict: str, witness, t0: float) -> Report
     return ReportLine(check, input_id, verdict, witness, _millis(t0))
 
 
-def _failures(out: list[ReportLine]) -> int:
-    return sum(l.verdict == "fail" for l in out)
+def _summary(check: str, payload, ok: bool = True) -> ReportLine:
+    """A check's final record; `run_check` completes it."""
+    return ReportLine(check, "summary", "pass" if ok else "fail", payload)
 
 
-def _summary(check: str, out: list[ReportLine], payload, ok: bool = True) -> list[ReportLine]:
-    """Append the summary record to out and return out; it passes only if ok
-    holds and no record in out failed.  `run_check` sets its millis."""
-    ok = ok and not _failures(out)
-    out.append(ReportLine(check, "summary", "pass" if ok else "fail", payload))
-    return out
+Check = Generator[ReportLine, None, ReportLine]  # returns the final record
 
 
-def _check_wheels_r6(params: dict) -> list[ReportLine]:
+def _check_wheels_r6(params: dict) -> Check:
     """Graphs on 6..7 vertices, min degree 4, no K5-minor: exactly the two
     double-axle wheels, each with 3n-6 edges and every edge in 2 triangles."""
-    out = []
     found = []
     for n in (6, 7):
         found.extend(generate(GenSpec(n, min_degree=4, prune="K5")))
@@ -176,12 +173,12 @@ def _check_wheels_r6(params: dict) -> list[ReportLine]:
             and all((g.adj[u] & g.adj[v]).bit_count() == 2 for u, v in g.edges())
         )
         witness = None if ok else {"graph6": write_graph6(g)}
-        out.append(_line("wheels-r6", write_graph6(g), "pass" if ok else "fail", witness, t0))
-    return _summary("wheels-r6", out, {"count": len(found), "expected": 2},
+        yield _line("wheels-r6", write_graph6(g), "pass" if ok else "fail", witness, t0)
+    return _summary("wheels-r6", {"count": len(found), "expected": 2},
                     ok=len(found) == 2)
 
 
-def _check_list22_r7(params: dict) -> list[ReportLine]:
+def _check_list22_r7(params: dict) -> Check:
     """Regenerate the neighbourhood list (<=9 vertices, min degree >= 5,
     K6-minor-free) and compare against the shipped corpus.
 
@@ -189,7 +186,6 @@ def _check_list22_r7(params: dict) -> list[ReportLine]:
     exact predicate yields 23 (the extra class is the 7-vertex octahedron
     plus dominating vertex), so the count record reports honestly.
     """
-    out = []
     t0 = time.monotonic()
     regenerated: list[Graph] = []
     for n in range(6, 10):
@@ -198,16 +194,16 @@ def _check_list22_r7(params: dict) -> list[ReportLine]:
     fresh = sorted(canonical_cert(g) for g in regenerated)
     shipped = sorted(canonical_cert(g) for g in corpus)
     match = fresh == shipped
-    out.append(_line(
+    yield _line(
         "list22-r7", "corpus-match", "pass" if match else "fail",
         None if match else {"regenerated": len(fresh), "shipped": len(shipped)}, t0,
-    ))
+    )
     expected = params.get("expected", 22)
     count = len(regenerated)
     witness = {"count": count, "expected": expected}
     if count != expected:
         witness["graphs"] = [write_graph6(g) for g in regenerated]
-    return _summary("list22-r7", out, witness, ok=count == expected)
+    return _summary("list22-r7", witness, ok=count == expected)
 
 
 def _compk7_survivors(g6: str) -> tuple[str, list, int]:
@@ -228,17 +224,18 @@ def _compk7_survivors(g6: str) -> tuple[str, list, int]:
     return g6, offenders, _millis(t0)
 
 
-def _check_lemma_compk7(params: dict) -> list[ReportLine]:
+def _check_lemma_compk7(params: dict) -> Check:
     """On every corpus graph: subsets keeping the dominated+apex augmentation
     K7-minor-free have size <= 5 and at most 3 missing internal edges."""
     corpus = [write_graph6(g) for g in load_corpus()]
-    out = []
+    failed = 0
     for g6, offenders, millis in _parallel_map(_compk7_survivors, corpus, params):
-        out.append(ReportLine(
+        failed += bool(offenders)
+        yield ReportLine(
             "lemma-compk7", g6, "pass" if not offenders else "fail",
             {"offending_subsets": offenders} if offenders else None, millis,
-        ))
-    return _summary("lemma-compk7", out, {"graphs": len(corpus), "failed": _failures(out)})
+        )
+    return _summary("lemma-compk7", {"graphs": len(corpus), "failed": failed})
 
 
 def _special_vertices(g: Graph, exact: bool) -> int:
@@ -256,11 +253,11 @@ def _special_vertices(g: Graph, exact: bool) -> int:
     return count
 
 
-def _check_lemma_numberk7(params: dict) -> list[ReportLine]:
+def _check_lemma_numberk7(params: dict) -> Check:
     """At most one vertex per corpus graph has every incident edge in >= 4
     triangles inside the graph."""
-    out = []
     corpus = load_corpus()
+    failed = 0
     for g in corpus:
         t0 = time.monotonic()
         special = [
@@ -268,11 +265,12 @@ def _check_lemma_numberk7(params: dict) -> list[ReportLine]:
             if all((g.adj[v] & g.adj[w]).bit_count() >= 4 for w in g.neighbors(v))
         ]
         ok = len(special) <= 1
-        out.append(_line(
+        failed += not ok
+        yield _line(
             "lemma-numberk7", write_graph6(g), "pass" if ok else "fail",
             {"special_vertices": special} if not ok else {"count": len(special)}, t0,
-        ))
-    return _summary("lemma-numberk7", out, {"graphs": len(corpus), "failed": _failures(out)})
+        )
+    return _summary("lemma-numberk7", {"graphs": len(corpus), "failed": failed})
 
 
 _COMPK8_EXCEPTIONS = {
@@ -301,7 +299,7 @@ def _compk8_bullets(g6: str) -> tuple[str, dict, int]:
     return g6, facts, _millis(t0)
 
 
-def _check_lemma_compk8(params: dict) -> list[ReportLine]:
+def _check_lemma_compk8(params: dict) -> Check:
     """Enumerate K7-minor-free graphs with min degree >= 6 on n vertices;
     apart from the known exceptional graph each must be 5-connected, have at
     most one vertex with every incident edge in exactly 5 triangles, and pass
@@ -314,21 +312,21 @@ def _check_lemma_compk8(params: dict) -> list[ReportLine]:
         print("lemma-compk8 --n 11 runs long: the complement-side stream alone "
               "has 868,311 classes, which took 222 s on a 2-core machine, and "
               "each class then gets one minor query", file=sys.stderr)
-    out = []
-    graphs = list(generate(GenSpec(n, min_degree=6, prune="K7")))
     exc_name, exc_graph, exc_tri = _COMPK8_EXCEPTIONS.get(n, (None, None, None))
+    graphs = 0
     ordinary = []
-    for g in graphs:
+    for g in generate(GenSpec(n, min_degree=6, prune="K7")):
+        graphs += 1
         if exc_graph is not None and is_isomorphic(g, exc_graph):
             t0 = time.monotonic()
             tri = sorted({(g.adj[u] & g.adj[v]).bit_count() for u, v in g.edges()})
             ok = tri == [exc_tri]
-            out.append(_line(
+            yield _line(
                 "lemma-compk8", write_graph6(g), "pass" if ok else "fail",
                 {"exceptional": exc_name, "edge_triangles": tri,
                  "expected": exc_tri} if not ok else
                 {"exceptional": exc_name, "edge_triangles": exc_tri}, t0,
-            ))
+            )
         else:
             ordinary.append(write_graph6(g))
     for g6, facts, millis in _parallel_map(_compk8_bullets, ordinary, params):
@@ -337,17 +335,16 @@ def _check_lemma_compk8(params: dict) -> list[ReportLine]:
             and facts["special_exactly5"] <= 1
             and facts["double_apex"]
         )
-        out.append(ReportLine("lemma-compk8", g6, "pass" if ok else "fail", facts, millis))
-    return _summary("lemma-compk8", out, {"n": n, "graphs": len(graphs)})
+        yield ReportLine("lemma-compk8", g6, "pass" if ok else "fail", facts, millis)
+    return _summary("lemma-compk8", {"n": n, "graphs": graphs})
 
 
-def _check_claim_2edge_p10(params: dict) -> list[ReportLine]:
+def _check_claim_2edge_p10(params: dict) -> Check:
     """Edge additions in the Petersen complement: a pair ab, cd with ab, bc,
     cd all absent creates a K7-minor, and so does any triple of added edges
     with empty common intersection.  Witnesses are revalidated."""
     pc = petersen_complement()
     pet = petersen()
-    out = []
     pairs = set()
     for b, c in pet.edges():
         for a in pet.neighbors(b):
@@ -365,10 +362,10 @@ def _check_claim_2edge_p10(params: dict) -> list[ReportLine]:
         ok = w is not None
         if ok:
             validate_minor_witness(aug, w)
-        out.append(_line(
+        yield _line(
             "claim-2edgeP10", f"pair:{added}", "pass" if ok else "fail",
             {"added": added} if not ok else None, t0,
-        ))
+        )
     pet_edges = pet.edges()
     triple_count = 0
     for triple in combinations(pet_edges, 3):
@@ -383,14 +380,15 @@ def _check_claim_2edge_p10(params: dict) -> list[ReportLine]:
         if ok:
             validate_minor_witness(aug, w)
         if not ok:
-            out.append(_line("claim-2edgeP10", f"triple:{triple}", "fail",
-                             {"added": triple}, t0))
-    return _summary("claim-2edgeP10", out, {"pairs": len(pairs), "triples": triple_count})
+            yield _line("claim-2edgeP10", f"triple:{triple}", "fail",
+                        {"added": triple}, t0)
+    return _summary("claim-2edgeP10", {"pairs": len(pairs), "triples": triple_count})
 
 
-def _check_claim_p10_subgraphs(params: dict) -> list[ReportLine]:
+def _check_claim_p10_subgraphs(params: dict) -> Check:
     """The Petersen complement has exactly 6 induced subgraph classes on 6
     vertices, one of them the octahedron."""
+    yield from ()  # no per-input records: the summary is the only one
     pc = petersen_complement()
     t0 = time.monotonic()
     classes: dict[bytes, Graph] = {}
@@ -400,16 +398,15 @@ def _check_claim_p10_subgraphs(params: dict) -> list[ReportLine]:
     octa = complete_multipartite(2, 2, 2)
     has_octa = any(is_isomorphic(g, octa) for g in classes.values())
     ok = len(classes) == 6 and has_octa
-    return [_line(
+    return _line(
         "claim-p10-subgraphs", "summary", "pass" if ok else "fail",
         {"classes": len(classes), "expected": 6, "contains_octahedron": has_octa}, t0,
-    )]
+    )
 
 
 def _edge_addition_check(
     check: str, base: Graph, additions: list[list[tuple[int, int]]], r: int
-) -> list[ReportLine]:
-    out = []
+) -> Check:
     for added in additions:
         t0 = time.monotonic()
         aug = make_graph(base.n, base.edges() + added)
@@ -417,12 +414,12 @@ def _edge_addition_check(
         ok = w is not None
         if ok:
             validate_minor_witness(aug, w)
-        out.append(_line(check, f"added:{added}", "pass" if ok else "fail",
-                         {"added": added} if not ok else None, t0))
-    return _summary(check, out, {"cases": len(additions)})
+        yield _line(check, f"added:{added}", "pass" if ok else "fail",
+                    {"added": added} if not ok else None, t0)
+    return _summary(check, {"cases": len(additions)})
 
 
-def _check_k2222_two_edges(params: dict) -> list[ReportLine]:
+def _check_k2222_two_edges(params: dict) -> Check:
     """Adding any two of the four missing edges of K_{2,2,2,2} creates a
     K7-minor."""
     base = complete_multipartite(2, 2, 2, 2)
@@ -431,7 +428,7 @@ def _check_k2222_two_edges(params: dict) -> list[ReportLine]:
     return _edge_addition_check("k2222-two-edges", base, additions, 7)
 
 
-def _check_k333_additions(params: dict) -> list[ReportLine]:
+def _check_k333_additions(params: dict) -> Check:
     """Adding two vertex-disjoint edges, or the three edges of a triangle,
     inside the parts of K_{3,3,3} creates a K7-minor."""
     base = complete_multipartite(3, 3, 3)
@@ -446,7 +443,7 @@ def _check_k333_additions(params: dict) -> list[ReportLine]:
     return _edge_addition_check("k333-additions", base, additions, 7)
 
 
-def _check_k22222_maximal(params: dict) -> list[ReportLine]:
+def _check_k22222_maximal(params: dict) -> Check:
     """K_{2,2,2,2,2} is maximal without a K8-minor: each of the five missing
     part edges creates one."""
     base = complete_multipartite(2, 2, 2, 2, 2)
@@ -455,12 +452,11 @@ def _check_k22222_maximal(params: dict) -> list[ReportLine]:
     return _edge_addition_check("k22222-maximal", base, additions, 8)
 
 
-def _check_density_ktree(params: dict) -> list[ReportLine]:
+def _check_density_ktree(params: dict) -> Check:
     """Random k-trees satisfy 2t = (k-1)m - C(k+1,3) exactly."""
     seed = int(params.get("seed", 0))
     per_k = int(params.get("samples", 100))
     rng = random.Random(seed)
-    out = []
     for k in range(2, 7):
         t0 = time.monotonic()
         bad = []
@@ -469,9 +465,9 @@ def _check_density_ktree(params: dict) -> list[ReportLine]:
             g = k_tree(k, n, rng.randrange(1 << 30))
             if 2 * total_triangles(g) != (k - 1) * g.edge_count - comb(k + 1, 3):
                 bad.append({"k": k, "n": n, "graph6": write_graph6(g)})
-        out.append(_line("density-ktree", f"k={k}", "pass" if not bad else "fail",
-                         {"violations": bad} if bad else {"samples": per_k}, t0))
-    return _summary("density-ktree", out, {"per_k": per_k})
+        yield _line("density-ktree", f"k={k}", "pass" if not bad else "fail",
+                    {"violations": bad} if bad else {"samples": per_k}, t0)
+    return _summary("density-ktree", {"per_k": per_k})
 
 
 def _density_sample(args: tuple[int, int, int]) -> tuple[int, str, bool]:
@@ -486,13 +482,13 @@ def _density_sample(args: tuple[int, int, int]) -> tuple[int, str, bool]:
             return k, write_graph6(g), density_conclusion(g, k)
 
 
-def _check_density_premise(params: dict) -> list[ReportLine]:
+def _check_density_premise(params: dict) -> Check:
     """Sampling net: graphs meeting the triangle-density premise have the
     promised complete minor (k in 4..7)."""
+    yield from ()  # no per-input records: the net's record is the only one
     seed = int(params.get("seed", 0))
     samples = int(params.get("samples", 1000))
     n_max = int(params.get("n_max", 12))
-    out = []
     jobs = [
         (k, n_max, seed * 1_000_003 + k * 101 + i)
         for k in range(4, 8)
@@ -503,12 +499,11 @@ def _check_density_premise(params: dict) -> list[ReportLine]:
     for k, g6, ok in _parallel_map(_density_sample, jobs, params):
         if not ok:
             failures.append({"k": k, "graph6": g6})
-    out.append(_line(
+    return _line(
         "density-premise", f"net:{samples}x4", "pass" if not failures else "fail",
         {"failures": failures} if failures else {"samples": samples, "k": [4, 5, 6, 7]},
         t0,
-    ))
-    return out
+    )
 
 
 def _coloring_sample(args: tuple[int, int, int, int]) -> tuple[int, str, int]:
@@ -518,7 +513,7 @@ def _coloring_sample(args: tuple[int, int, int, int]) -> tuple[int, str, int]:
     return bound, write_graph6(g), chromatic_number(g).chi
 
 
-def _check_coloring_bound(params: dict) -> list[ReportLine]:
+def _check_coloring_bound(params: dict) -> Check:
     """Sampled minor-free graphs respect the proven colour bounds: no K7
     minor -> 8 colours, no K8 minor -> 10 colours.
 
@@ -533,7 +528,6 @@ def _check_coloring_bound(params: dict) -> list[ReportLine]:
     seed = int(params.get("seed", 0))
     samples = int(params.get("samples", 1000))
     n_max = int(params.get("n_max", 14))
-    out = []
     for r, bound in ((7, 8), (8, 10)):
         t0 = time.monotonic()
         jobs = [(r, bound, n_max, seed * 7_777_777 + r * 13 + i) for i in range(samples)]
@@ -541,12 +535,12 @@ def _check_coloring_bound(params: dict) -> list[ReportLine]:
         for b, g6, chi in _parallel_map(_coloring_sample, jobs, params):
             if chi > b:
                 bad.append({"graph6": g6, "chi": chi, "bound": b})
-        out.append(_line(
+        yield _line(
             "coloring-bound", f"K{r}-minor-free<={bound}",
             "pass" if not bad else "fail",
             {"violations": bad} if bad else {"samples": samples}, t0,
-        ))
-    return _summary("coloring-bound", out, {"samples": samples})
+        )
+    return _summary("coloring-bound", {"samples": samples})
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +576,12 @@ _CHECK_PARAMS = {
 }
 
 
-def run_check(check_id: str, **params) -> list[ReportLine]:
-    """Run one named check; returns its report records (summary last).
+def run_check(check_id: str, **params) -> Iterator[ReportLine]:
+    """Run one named check, yielding its report records as they are made;
+    the parameters are checked when the first record is asked for.
 
-    The summary record carries the whole check's elapsed millis, generation
-    and any sweep included.
+    The check's final record comes last: it fails when an earlier record
+    failed, and carries the whole check's millis, generation included.
     """
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; have {CHECK_IDS}")
@@ -597,18 +592,32 @@ def run_check(check_id: str, **params) -> list[ReportLine]:
         if name in params and int(params[name]) < 1:
             raise ValueError(f"{name} must be at least 1, got {params[name]}")
     t0 = time.monotonic()
-    out = _CHECKS[check_id](params)
-    out[-1] = replace(out[-1], millis=_millis(t0))
-    return out
+    records = _CHECKS[check_id](params)
+    failed = False
+    while True:
+        try:
+            record = next(records)
+        except StopIteration as done:
+            last = done.value
+            break
+        failed = failed or record.verdict == "fail"
+        yield record
+    yield replace(last, verdict="fail" if failed else last.verdict, millis=_millis(t0))
 
 
 def _parallel_map(fn, items, params):
-    """Map a picklable task over items, in order; honours params['workers']."""
+    """Map a picklable task over items, yielding the results in order;
+    honours params['workers'].  Closing the generator early cancels the
+    tasks that have not started."""
     workers = int(params.get("workers", 1))
     if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     # imported here so that a one-worker run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
+    finally:
+        pool.shutdown(cancel_futures=True)

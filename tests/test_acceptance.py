@@ -77,7 +77,7 @@ def _oracle_k6_free_classes_on_7() -> tuple[int, list]:
 
 
 def test_criterion_01_golden_enumeration():
-    lines = run_check("list22-r7")
+    lines = list(run_check("list22-r7"))
     by_input = {l.input: l for l in lines}
     summary = by_input["summary"]
     count = summary.witness["count"]
@@ -144,7 +144,7 @@ def test_criterion_02_wheels():
 
 
 def test_criterion_03_apex_augmentation():
-    lines = run_check("lemma-compk7")
+    lines = list(run_check("lemma-compk7"))
     failures = summarize(lines)["failures"]
     ok = failures == 0
     _report(3, ok, f"apex sweeps over {len(load_corpus())} corpus graphs, "
@@ -153,7 +153,7 @@ def test_criterion_03_apex_augmentation():
 
 
 def test_criterion_04_unique_special_vertex():
-    lines = run_check("lemma-numberk7")
+    lines = list(run_check("lemma-numberk7"))
     failures = summarize(lines)["failures"]
     ok = failures == 0
     _report(4, ok, f"<=1 vertex with all incident edges in >=4 triangles, "
@@ -162,7 +162,7 @@ def test_criterion_04_unique_special_vertex():
 
 
 def test_criterion_05_p10_induced_subgraphs():
-    summary = run_check("claim-p10-subgraphs")[-1]
+    summary = list(run_check("claim-p10-subgraphs"))[-1]
     ok = summary.verdict == "pass"
     _report(5, ok, f"induced 6-vertex classes of the Petersen complement: "
                    f"{summary.witness}")
@@ -170,7 +170,7 @@ def test_criterion_05_p10_induced_subgraphs():
 
 
 def test_criterion_06_p10_edge_additions():
-    lines = run_check("claim-2edgeP10")
+    lines = list(run_check("claim-2edgeP10"))
     failures = summarize(lines)["failures"]
     counts = lines[-1].witness
     ok = failures == 0 and counts["pairs"] > 0 and counts["triples"] == 445
@@ -199,7 +199,7 @@ def test_criterion_07_neighbourhoods_of_degree11():
     details = []
     fails = {}
     for n in (8, 9, 10):
-        lines = run_check("lemma-compk8", n=n)
+        lines = list(run_check("lemma-compk8", n=n))
         fails[n] = [l for l in lines if l.verdict == "fail" and l.input != "summary"]
         details.append(f"n={n}: graphs={lines[-1].witness['graphs']} "
                        f"failures={len(fails[n])}")
@@ -309,7 +309,7 @@ def test_criterion_10_rigidity():
 
 
 def test_criterion_11_coloring_bounds():
-    lines = run_check("coloring-bound", samples=1000, seed=11)
+    lines = list(run_check("coloring-bound", samples=1000, seed=11))
     failures = summarize(lines)["failures"]
     ok = failures == 0
     _report(11, ok, f"chromatic bounds on 1000 sampled graphs per class, "

@@ -1,8 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +240,48 @@ def test_lemma_compk7_reachable_from_cli_with_workers(monkeypatch, capsys):
     assert recs[-1]["witness"] == {"graphs": 2, "failed": 0}
 
 
+def test_a_check_that_stops_midway_keeps_the_records_it_made(monkeypatch, capsys):
+    # the second graph's sweep raises: the first graph's record is already
+    # written when the CLI exits 2
+    import triminor.verify as verify
+
+    corpus = load_corpus()[:2]
+    first = write_graph6(corpus[0])
+    real_sweep = verify._compk7_survivors
+
+    def sweep(g6):
+        if g6 != first:
+            raise ValueError("sweep stopped")
+        return real_sweep(g6)
+
+    monkeypatch.setattr(verify, "load_corpus", lambda: corpus)
+    monkeypatch.setattr(verify, "_compk7_survivors", sweep)
+    assert main(["verify", "--check", "lemma-compk7"]) == 2
+    captured = capsys.readouterr()
+    assert [(r["input"], r["verdict"]) for r in records(captured.out)] == [(first, "pass")]
+    assert captured.err == "triminor: sweep stopped\n"
+
+
+def test_runtime_stays_standard_library_only():
+    # -S keeps site hooks (.pth files) from importing third-party modules
+    import triminor
+
+    probe = (
+        "import json, sys\n"
+        "from triminor.cli import main\n"
+        "code = main(['verify', '--check', 'lemma-compk8', '--workers', '1'])\n"
+        "tops = {name.split('.')[0] for name in sys.modules} - {'__main__'}\n"
+        "print(json.dumps([code, sorted(tops - set(sys.stdlib_module_names)),\n"
+        "                  'concurrent.futures' in sys.modules,\n"
+        "                  'multiprocessing' in sys.modules]))\n"
+    )
+    src = str(Path(triminor.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr  # -S also leaves site-packages off the path
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, ["triminor"], False, False]
+
+
 def test_summary_carries_the_whole_checks_time_under_timing(monkeypatch, capsys):
     # generation runs before any graph's record starts its clock, so only
     # the summary's time counts it; without --timing every millis is 0
@@ -316,7 +360,7 @@ class _ClosedPipe(io.StringIO):
 
 @pytest.mark.parametrize("args", [
     ["gen", "--n", "7"],  # writes inside the command, line by line
-    ["minor", "--pattern", "K5", "I]~v~z~~o"],  # writes the records at the end
+    ["minor", "--pattern", "K5", "I]~v~z~~o"],  # writes through emit_report
 ])
 def test_closed_stdout_exits_quietly(args, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())

@@ -1,6 +1,9 @@
 import random
+import time
+from dataclasses import replace
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -88,18 +91,18 @@ def test_samplers_produce_what_they_claim():
 def test_run_check_unknown_id():
     for check_id in ("nope", "split-recognizer", "alpha-inequality"):
         with pytest.raises(ValueError):
-            run_check(check_id)
+            list(run_check(check_id))
     assert len(CHECK_IDS) == 13
 
 
 def test_check_wheels():
-    lines = run_check("wheels-r6")
+    lines = list(run_check("wheels-r6"))
     assert summarize(lines)["failures"] == 0
     assert lines[-1].witness == {"count": 2, "expected": 2}
 
 
 def test_check_p10_subgraphs():
-    lines = run_check("claim-p10-subgraphs")
+    lines = list(run_check("claim-p10-subgraphs"))
     assert lines[-1].verdict == "pass"
     assert lines[-1].witness["classes"] == 6
     assert lines[-1].witness["contains_octahedron"] is True
@@ -107,26 +110,26 @@ def test_check_p10_subgraphs():
 
 def test_check_edge_additions():
     for cid, cases in (("k2222-two-edges", 6), ("k333-additions", 30)):
-        lines = run_check(cid)
+        lines = list(run_check(cid))
         assert summarize(lines)["failures"] == 0
         assert lines[-1].witness["cases"] == cases
 
 
 def test_check_k22222_maximal():
-    lines = run_check("k22222-maximal")
+    lines = list(run_check("k22222-maximal"))
     assert summarize(lines)["failures"] == 0
     assert lines[-1].witness["cases"] == 5
 
 
 def test_check_numberk7():
-    lines = run_check("lemma-numberk7")
+    lines = list(run_check("lemma-numberk7"))
     assert summarize(lines)["failures"] == 0
     assert len(lines) == len(load_corpus()) + 1
     assert lines[-1].witness == {"graphs": len(load_corpus()), "failed": 0}
 
 
 def test_check_list22_reports_honest_count():
-    lines = run_check("list22-r7")
+    lines = list(run_check("list22-r7"))
     by_input = {l.input: l for l in lines}
     assert by_input["corpus-match"].verdict == "pass"
     summary = by_input["summary"]
@@ -138,7 +141,7 @@ def test_check_list22_reports_honest_count():
 
 
 def test_check_compk8_n8():
-    lines = run_check("lemma-compk8", n=8)
+    lines = list(run_check("lemma-compk8", n=8))
     assert summarize(lines)["failures"] == 0
     # the single ordinary graph diverges between the two triangle readings
     facts = [l.witness for l in lines if isinstance(l.witness, dict)
@@ -149,7 +152,7 @@ def test_check_compk8_n8():
 
 
 def test_check_compk8_n9_reports_known_failure():
-    lines = run_check("lemma-compk8", n=9)
+    lines = list(run_check("lemma-compk8", n=9))
     fails = [l for l in lines if l.verdict == "fail" and l.input != "summary"]
     assert len(fails) == 1
     failing = fails[0]
@@ -180,15 +183,48 @@ def test_swept_check_records_carry_their_elapsed_time(monkeypatch):
     assert f'"millis": {record.millis}' in record.to_json(timing=True)
 
 
-def test_summary_fails_on_any_failed_record_or_false_ok():
+def test_summary_fails_on_any_failed_record_or_false_ok(monkeypatch):
+    # run_check passes the earlier records through and fails the final one
+    # when any of them failed; otherwise the final record keeps its verdict
+    import triminor.verify as verify
     from triminor.reports import ReportLine
-    from triminor.verify import _summary
 
     passed = ReportLine("c", "a", "pass", None)
     failed = ReportLine("c", "b", "fail", {"x": 1})
-    assert _summary("c", [passed], {"n": 1})[-1] == ReportLine("c", "summary", "pass", {"n": 1})
-    assert _summary("c", [passed, failed], {"n": 2})[-1].verdict == "fail"
-    assert _summary("c", [passed], {"n": 1}, ok=False)[-1].verdict == "fail"
+
+    def final(records, ok=True):
+        def check(params):
+            yield from records
+            return verify._summary("c", {"n": len(records)}, ok=ok)
+
+        monkeypatch.setitem(verify._CHECKS, "fake", check)
+        *earlier, last = run_check("fake")
+        assert earlier == records
+        return replace(last, millis=0)
+
+    assert final([passed]) == ReportLine("c", "summary", "pass", {"n": 1})
+    assert final([passed, failed]) == ReportLine("c", "summary", "fail", {"n": 2})
+    assert final([passed], ok=False).verdict == "fail"
+
+
+def _leave_marker(task: tuple[str, float]) -> str:
+    path, delay = task
+    time.sleep(delay)
+    Path(path).touch()
+    return path
+
+
+def test_closing_parallel_map_early_cancels_the_tasks_not_started(tmp_path):
+    # a reader that stops, as `| head` does, must not wait for the whole
+    # sweep.  Two workers take 40 tasks in 8 chunks of 5; the first chunk
+    # is instant, so the first result comes while most tasks are pending.
+    from triminor.verify import _parallel_map
+
+    tasks = [(str(tmp_path / f"task{i}"), 0.0 if i < 5 else 0.05) for i in range(40)]
+    results = _parallel_map(_leave_marker, tasks, {"workers": 2})
+    assert next(results) == tasks[0][0]
+    results.close()  # returns once the tasks already started have finished
+    assert sum(Path(path).exists() for path, _ in tasks) < len(tasks)
 
 
 def test_compk7_apex_verdicts_match_contraction_oracle():
@@ -254,18 +290,18 @@ def test_lemma_compk8_warns_that_n11_runs_long(monkeypatch, capsys):
     import triminor.verify as verify
 
     monkeypatch.setattr(verify, "generate", lambda spec: iter(()))
-    assert run_check("lemma-compk8", n=11)[-1].witness == {"n": 11, "graphs": 0}
+    assert list(run_check("lemma-compk8", n=11))[-1].witness == {"n": 11, "graphs": 0}
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "868,311 classes" in captured.err and "222 s" in captured.err
-    run_check("lemma-compk8", n=10)
+    list(run_check("lemma-compk8", n=10))
     assert capsys.readouterr().err == ""
 
 
 def test_check_compk8_rejects_bad_n():
     with pytest.raises(ValueError):
-        run_check("lemma-compk8", n=7)
+        list(run_check("lemma-compk8", n=7))
 
 
 def test_check_density_ktree_small():
@@ -282,5 +318,5 @@ def test_check_coloring_bound_small():
 
 
 def test_parallel_map_workers():
-    lines = run_check("density-premise", samples=8, workers=2)
+    lines = list(run_check("density-premise", samples=8, workers=2))
     assert summarize(lines)["failures"] == 0
