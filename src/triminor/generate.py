@@ -5,10 +5,11 @@ accepted only when the edge just added lies in the automorphism orbit of the
 child's canonical deletion edge (the orbit minimising an invariant key), so
 every isomorphism class is produced exactly once with no global seen-set.
 The filters run cheapest first, which changes no output (McKay,
-"Isomorph-free exhaustive generation", 1998): the invariant part of that
-test runs on every augmentation from the parent's own invariants and hands
-the edges that tie on it to the certificate part, and the parent's
-automorphism search runs only on the augmentations it keeps.
+"Isomorph-free exhaustive generation", 1998): degree and edge caps are read
+off the parent, so a capped augmentation is never built; the invariant part
+of that test runs on every other augmentation from the parent's own
+invariants and hands the edges that tie on it to the certificate part; and
+the parent's automorphism search runs only on the augmentations it keeps.
 Hereditary pruning cuts whole subtrees: a predicate that can never be
 repaired by further edge additions (degree caps, edge caps, forbidden clique
 minors) rejects a graph together with all its supergraphs.
@@ -166,44 +167,51 @@ def _any_graph(g: Graph) -> bool:
 
 
 def orderly_stream(
-    n: int, keep: Callable[[Graph], bool], keep_after: Callable[[Graph], bool] = _any_graph
+    n: int,
+    max_degree: int | None = None,
+    max_edges: int | None = None,
+    keep_after: Callable[[Graph], bool] = _any_graph,
 ) -> Iterator[Graph]:
-    """All graphs on n vertices passing the hereditary predicates `keep` and
-    `keep_after`, one per isomorphism class, in deterministic level (edge
-    count) order.
+    """All graphs on n vertices with maximum degree at most `max_degree` and
+    at most `max_edges` edges (None: no cap) that pass the hereditary
+    predicate `keep_after`, one per isomorphism class, in deterministic
+    level (edge count) order.
 
-    Per parent, the filters run cheapest first.  The invariant part of the
-    canonical test runs on every non-edge, from the parent's invariants
-    (`_invariant_survivors`); `keep` is asked of each survivor; the
-    automorphism search (`_orbit_reps`) runs on what is left, and only when
-    two or more pairs are; the least pair of each orbit then meets the
-    pair-certificate part of the canonical test (`_is_canonical_child`),
-    against the tied edges the invariant test found, and `keep_after` only
-    once that accepts it.
-    The invariant test and `keep` must both be isomorphism-invariant, so
-    what survives them is a union of orbits, and its orbit reps are those
-    of all the non-edges that survive, in the same order: the order of the
-    filters changes no output.  A cheap predicate (a degree or edge cap) is
-    `keep`, a costly one (a minor verdict) `keep_after`, asked once per
+    Per parent, the filters run cheapest first.  The caps are read off the
+    parent: a level at the edge cap gets no children, and only the non-edges
+    whose two ends are both below the degree cap are augmented.  The
+    invariant part of the canonical test runs on each of those, from the
+    parent's invariants (`_invariant_survivors`); the automorphism search
+    (`_orbit_reps`) runs on what survives, and only when two or more pairs
+    do; the least pair of each orbit then meets the pair-certificate part of
+    the canonical test (`_is_canonical_child`), against the tied edges the
+    invariant test found, and `keep_after` only once that accepts it.
+    The caps and the invariant test are isomorphism-invariant, so what
+    survives them is a union of orbits, and its orbit reps are those of all
+    the non-edges that survive, in the same order: the order of the filters
+    changes no output.  `keep_after` (a minor verdict) is asked once per
     class instead of once per orbit of augmentations.
     """
     empty = from_rows(n, [0] * n)
-    if not (keep(empty) and keep_after(empty)):
+    if not keep_after(empty):
         return
     level = [empty]
     yield empty
-    while level:
+    while level and (max_edges is None or level[0].edge_count < max_edges):
         nxt: list[Graph] = []
         for parent in level:
+            open_ends = (1 << n) - 1
+            if max_degree is not None:
+                open_ends = sum(1 << v for v, row in enumerate(parent.adj)
+                                if row.bit_count() < max_degree)
             non_edges = [
                 (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if not parent.adj[u] >> v & 1
+                for u in bits(open_ends)
+                for v in bits(open_ends & ~parent.adj[u] & ~((2 << u) - 1))
             ]
             survivors = _invariant_survivors(parent, non_edges)
-            kept = [(u, v) for u, v in survivors if keep(_with_edge(parent, u, v))]
-            for u, v in kept if len(kept) < 2 else _orbit_reps(parent, kept):
+            reps = list(survivors)
+            for u, v in reps if len(reps) < 2 else _orbit_reps(parent, reps):
                 child = _with_edge(parent, u, v)
                 if (_is_canonical_child(child, (u, v), survivors[u, v])
                         and keep_after(child)):
@@ -232,16 +240,13 @@ def generate(spec: GenSpec) -> Iterator[Graph]:
         return r is None or not kr_minor_verdict(g, r)
 
     if comp_budget < direct_budget:
-        # complement side: max-degree cap is the hereditary prune
-        def keep(s: Graph) -> bool:
-            return all(row.bit_count() <= comp_cap for row in s.adj)
-
-        for s in orderly_stream(n, keep):
+        # complement side: the max-degree cap is the hereditary prune
+        for s in orderly_stream(n, max_degree=comp_cap):
             g = complement(s)
             if under_edge_cap(g) and minor_free(g):
                 yield g
     else:
-        for g in orderly_stream(n, under_edge_cap, minor_free):
+        for g in orderly_stream(n, max_edges=spec.max_edges, keep_after=minor_free):
             if g.min_degree() >= spec.min_degree or g.n == 1:
                 yield g
 

@@ -10,17 +10,18 @@ unused vertices and pruning on vertex budget and on required adjacency to
 already-placed sets.  Complete minors are decided in this order (see
 kr_minor_verdict): size and edge-cap shortcuts; a greedy contraction probe
 that can only answer yes, and only with a contraction model (see
-_contraction_probe); the verdict memo; exact reductions that delete
-low-degree simplicial vertices and contract degree-2 ones (see
-_peel_for_clique); and last a narrower search: on a connected host the
-branch sets can be taken to partition the vertices, and the next part is
-grown from the uncovered vertex with the fewest uncovered neighbours (see
-_partition_model).  That search also cuts every branch whose uncovered
-vertices have too few edges to hold the parts still to place: a spanning
-tree in each and an edge between each pair.  The bound is necessary for
-any completion, so it cuts only branches that fail anyway, and the first
-model found is the same with or without it.  Hosts stay at or below 16
-vertices, where these exhaustive searches are fast.
+_contraction_probe); exact reductions that delete low-degree simplicial
+vertices and contract degree-2 ones (see _peel_for_clique); and last a
+narrower search: on a connected host the branch sets can be taken to
+partition the vertices, and the next part is grown from the uncovered
+vertex with the fewest uncovered neighbours (see _partition_model).  That
+search also cuts every branch whose uncovered vertices have too few edges
+to hold the parts still to place: a spanning tree in each and an edge
+between each pair.  The bound is necessary for any completion, so it cuts
+only branches that fail anyway, and the first model found is the same with
+or without it.  No verdict is cached: the sweeps that ask the kernel no
+longer ask about one class twice.  Hosts stay at or below 16 vertices,
+where these exhaustive searches are fast.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .canon import automorphisms, canonical_cert
+from .canon import automorphisms
 from .cliques import has_clique
 from .graphs import Graph, bits, from_rows, induced, mader_edge_cap
 
@@ -294,17 +295,10 @@ def has_minor(g: Graph, h: Graph) -> MinorWitness | None:
     raise AssertionError("verdict and witness search disagree")
 
 
-# Verdict cache for clique minors, keyed by (certificate, r).  Verdicts are
-# isomorphism-invariant; witnesses are not, so only booleans are stored.
+# Always empty: no verdict is cached.  The benchmark's child process and
+# tracer still read it (a cold-start check and the memo counters); it goes
+# with them when the benchmark is re-sized.
 _KR_MEMO: dict[tuple[bytes, int], bool] = {}
-_KR_MEMO_CAP = 1 << 16
-
-
-def _remember(key: tuple[bytes, int], verdict: bool) -> bool:
-    if len(_KR_MEMO) >= _KR_MEMO_CAP:
-        _KR_MEMO.clear()
-    _KR_MEMO[key] = verdict
-    return verdict
 
 
 def _reach(adj: tuple[int, ...], start: int, within: int) -> int:
@@ -441,14 +435,13 @@ def _contraction_probe(g: Graph, r: int) -> list[int] | None:
 
 
 def kr_minor_verdict(g: Graph, r: int) -> bool:
-    """Memoized boolean: does g have a complete minor on r vertices?
+    """Does g have a complete minor on r vertices?
 
     The one place that decides it, in this order: size and edge-cap
-    shortcuts, a greedy contraction probe that can only answer yes, the
-    memo, then a computed verdict that peels g, splits the rest into
-    components and gives each the size tests, a clique test and, last, the
-    exhaustive search for a partition into connected, pairwise adjacent
-    parts.  Only computed verdicts are memoized.
+    shortcuts, a greedy contraction probe that can only answer yes, then a
+    computed verdict that peels g, splits the rest into components and gives
+    each the size tests, a clique test and, last, the exhaustive search for
+    a partition into connected, pairwise adjacent parts.
     """
     if r <= 1:
         return g.n >= r
@@ -462,10 +455,6 @@ def kr_minor_verdict(g: Graph, r: int) -> bool:
         return g.edge_count > g.n - len(comps)
     if _contraction_probe(g, r) is not None:
         return True
-    key = (canonical_cert(g), r)
-    hit = _KR_MEMO.get(key)
-    if hit is not None:
-        return hit
     peeled, alive = _peel_for_clique(g, r)
     for comp in _component_masks(peeled.adj, alive):
         part = induced(peeled, bits(comp))
@@ -474,8 +463,8 @@ def kr_minor_verdict(g: Graph, r: int) -> bool:
             found = (has_clique(part, r) is not None
                      or _partition_model(part.adj, (1 << part.n) - 1, r) is not None)
         if found:
-            return _remember(key, True)
-    return _remember(key, False)
+            return True
+    return False
 
 
 def attach_vertex(g: Graph, neighbourhood) -> Graph:
@@ -573,15 +562,15 @@ def double_apex_check(h: Graph, r: int = 8) -> tuple[int, ...] | None:
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """Exact vertex connectivity; n-1 for complete graphs, 0 if disconnected."""
-    if g.n == 1:
-        return 0
+    """Exact vertex connectivity; n-1 for complete graphs, 0 if disconnected.
+
+    Connectivity is at most the minimum degree: the neighbours of a vertex
+    of least degree separate it from any non-neighbour, and a complete graph
+    has none.  So the flows start capped there.
+    """
     if not g.is_connected():
         return 0
-    full = (1 << g.n) - 1
-    if all(g.adj[v] == full & ~(1 << v) for v in range(g.n)):
-        return g.n - 1
-    best = g.n - 1
+    best = g.min_degree()
     for s in range(g.n):
         for t in range(s + 1, g.n):
             if not g.has_edge(s, t):
@@ -595,10 +584,20 @@ def _max_vertex_flow(g: Graph, s: int, t: int, cap: int) -> int:
     unbounded at s and t) and edge uv the arcs u_out -> v_in, v_out -> u_in.
     flow[u] masks the w with a unit on u_out -> w_in; `full` masks the
     vertices whose own arc carries one.  Node (v, 0) is v_in, (v, 1) v_out.
+
+    The flow starts from the paths s-w-t through the common neighbours w of
+    s and t; augmenting from any valid flow still reaches the maximum.
     """
+    common = g.adj[s] & g.adj[t]
+    seeded = common.bit_count()
+    if seeded >= cap:
+        return cap
     flow = [0] * g.n
-    full = 0
-    for paths in range(cap):
+    flow[s] = common
+    for w in bits(common):
+        flow[w] = 1 << t
+    full = common
+    for paths in range(seeded, cap):
         back = {(s, 1): None}  # BFS tree from s_out: node -> parent
         queue = [(s, 1)]
         for v, side in queue:

@@ -309,9 +309,10 @@ def _check_lemma_compk8(params: dict) -> Check:
     if n not in (8, 9, 10, 11):
         raise ValueError(f"lemma-compk8 takes n in 8..11, got {n}")
     if n == 11:
-        print("lemma-compk8 --n 11 runs long: the complement-side stream alone "
-              "has 868,311 classes, which took 222 s on a 2-core machine, and "
-              "each class then gets one minor query", file=sys.stderr)
+        print("lemma-compk8 --n 11 runs long: the complement-side stream has "
+              "868,311 classes, each then gets one minor query, and the whole "
+              "check took 255 s on a 2-core machine with --workers 2",
+              file=sys.stderr)
     exc_name, exc_graph, exc_tri = _COMPK8_EXCEPTIONS.get(n, (None, None, None))
     graphs = 0
     ordinary = []
@@ -608,7 +609,10 @@ def run_check(check_id: str, **params) -> Iterator[ReportLine]:
 def _parallel_map(fn, items, params):
     """Map a picklable task over items, yielding the results in order;
     honours params['workers'].  Closing the generator early cancels the
-    tasks that have not started."""
+    tasks that have not started: all but the 2 * workers + 1 chunks the
+    pool runs or queues.  So a chunk is a 64th of a worker's share (one
+    item in a short sweep), which still spares thousands of small tasks a
+    round trip to a worker each."""
     workers = int(params.get("workers", 1))
     if workers <= 1 or len(items) <= 1:
         yield from map(fn, items)
@@ -618,6 +622,6 @@ def _parallel_map(fn, items, params):
 
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        yield from pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
+        yield from pool.map(fn, items, chunksize=max(1, len(items) // (64 * workers)))
     finally:
         pool.shutdown(cancel_futures=True)

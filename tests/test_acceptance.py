@@ -322,7 +322,7 @@ def test_criterion_12_oracle_equivalence():
     memo = {}
     minor_ok = True
     for n in range(1, 7):
-        for g in orderly_stream(n, lambda _: True):
+        for g in orderly_stream(n):
             for r in (3, 4, 5):
                 verdict = kr_minor_verdict(g, r)
                 if verdict != kr_minor_brute(g, r, memo):

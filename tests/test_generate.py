@@ -46,7 +46,7 @@ def test_small_counts():
     assert generate_count(GenSpec(4)) == 11
     assert generate_count(GenSpec(5)) == 34
     assert generate_count(GenSpec(6, min_degree=5)) == 1
-    assert sum(1 for _ in orderly_stream(7, lambda g: True)) == 1044
+    assert sum(1 for _ in orderly_stream(7)) == 1044
 
 
 def test_complete_against_labeled_enumeration_upto_6():
@@ -163,7 +163,7 @@ def _orbit_reps_by_pair_cert(g, pairs):
 
 
 def test_orbit_reps_match_pair_cert_grouping():
-    parents = list(orderly_stream(6, lambda g: True))
+    parents = list(orderly_stream(6))
     assert len(parents) == 156
     for g in parents:
         non_edges = [
@@ -197,7 +197,7 @@ def test_canonical_child_test_matches_reference_on_every_child():
     # either the parent edges away from the added edge or those at its ends
     for n, expected in ((6, 1170), (7, 10962)):
         accepted = checked = 0
-        for parent in orderly_stream(n, lambda g: True):
+        for parent in orderly_stream(n):
             for u in range(n):
                 for v in range(u + 1, n):
                     if parent.has_edge(u, v):
@@ -241,7 +241,7 @@ def test_invariant_prefilter_matches_full_scan():
     # the survivors are a union of automorphism orbits, so their orbit reps
     # are the reps of all the non-edges that survive, in the same order
     rng = random.Random(41)
-    parents = list(orderly_stream(7, lambda g: True))
+    parents = list(orderly_stream(7))
     parents += [_sparse_graph(rng.choice((9, 10)), rng) for _ in range(150)]
     kept = dropped = tied = 0
     for parent in parents:
@@ -259,6 +259,45 @@ def test_invariant_prefilter_matches_full_scan():
         dropped += len(non_edges) - len(survivors)
         tied += sum(1 for ties in survivors.values() if ties)
     assert kept > tied > 0 and dropped > 0
+
+
+def _watch_survivor_scans(monkeypatch):
+    """Record each (parent, non-edges) that reaches _invariant_survivors."""
+    gen_module = importlib.import_module("triminor.generate")
+    scans = []
+
+    def watched(parent, non_edges):
+        scans.append((parent, list(non_edges)))
+        return _invariant_survivors(parent, non_edges)
+
+    monkeypatch.setattr(gen_module, "_invariant_survivors", watched)
+    return scans
+
+
+@pytest.mark.parametrize("n, d", [(7, 2), (7, 3), (8, 2)])
+def test_degree_cap_scans_only_non_edges_below_the_cap(monkeypatch, n, d):
+    # the cap is read off the parent: a non-edge with an end at degree d
+    # never reaches the invariant scan, and every other non-edge does; the
+    # stream is the uncapped one with the graphs over the cap left out
+    full = [g.adj for g in orderly_stream(n)]
+    scans = _watch_survivor_scans(monkeypatch)
+    capped = [g.adj for g in orderly_stream(n, max_degree=d)]
+    assert capped == [adj for adj in full if max(r.bit_count() for r in adj) <= d]
+    assert scans
+    for parent, non_edges in scans:
+        deg = [row.bit_count() for row in parent.adj]
+        assert non_edges == [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if not parent.has_edge(u, v) and deg[u] < d and deg[v] < d
+        ]
+
+
+def test_edge_cap_gives_the_level_at_the_cap_no_children(monkeypatch):
+    full = [g.adj for g in orderly_stream(6)]
+    scans = _watch_survivor_scans(monkeypatch)
+    capped = [g.adj for g in orderly_stream(6, max_edges=5)]
+    assert capped == [adj for adj in full if sum(r.bit_count() for r in adj) <= 10]
+    assert {parent.edge_count for parent, _ in scans} == {0, 1, 2, 3, 4}
 
 
 @pytest.mark.parametrize("spec, searches, pair_certs", [
@@ -319,8 +358,8 @@ def test_stream_is_deterministic():
     a = [g.adj for g in generate(GenSpec(7, min_degree=4, prune="K5"))]
     b = [g.adj for g in generate(GenSpec(7, min_degree=4, prune="K5"))]
     assert a == b
-    c = [g.adj for g in orderly_stream(5, lambda g: True)]
-    d = [g.adj for g in orderly_stream(5, lambda g: True)]
+    c = [g.adj for g in orderly_stream(5)]
+    d = [g.adj for g in orderly_stream(5)]
     assert c == d
 
 

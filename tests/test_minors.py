@@ -3,6 +3,7 @@ import random
 from contextlib import contextmanager
 from math import comb
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from oracles import (
     st_separator_brute,
     vertex_connectivity_brute,
 )
-from triminor import minors
+from triminor import canon, minors
 from triminor.generate import GenSpec, generate
 from triminor.graph6 import parse_graph6
 from triminor.graphs import (
@@ -32,7 +33,6 @@ from triminor.graphs import (
     petersen_complement,
 )
 from triminor.minors import (
-    _KR_MEMO,
     MinorWitness,
     _contraction_probe,
     _masks_to_witness,
@@ -147,6 +147,56 @@ def test_max_vertex_flow_matches_smallest_separator():
                   if not g.has_edge(s, t)]
     for g, s, t in cases:
         assert _max_vertex_flow(g, s, t, g.n) == st_separator_brute(g, s, t)
+
+
+def _dense_graph(n, rng):
+    """A random graph on n vertices with minimum degree >= n - 4: K_n less
+    random edges, each removed only while both its ends miss fewer than
+    three edges."""
+    missing = [0] * n
+    rows = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
+    for u, v in rng.sample(list(itertools.combinations(range(n), 2)), 2 * n):
+        if missing[u] < 3 and missing[v] < 3:
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+            missing[u] += 1
+            missing[v] += 1
+    return from_rows(n, rows)
+
+
+def test_seeded_flows_match_brute_force_on_dense_graphs():
+    # dense hosts like the lemma-compk8 classes, where the common
+    # neighbours alone often reach the cap: every cap from below the
+    # common-neighbour count to above it, and the uncapped flow
+    rng = random.Random(53)
+    capped = augmented = 0
+    for _ in range(40):
+        g = _dense_graph(rng.randint(5, 10), rng)
+        assert g.min_degree() >= g.n - 4
+        kappa = vertex_connectivity_brute(g)
+        assert vertex_connectivity(g) == kappa
+        flows = []
+        for s, t in itertools.combinations(range(g.n), 2):
+            if g.has_edge(s, t):
+                continue
+            paths = st_separator_brute(g, s, t)
+            common = (g.adj[s] & g.adj[t]).bit_count()
+            augmented += paths > common
+            for cap in {max(common - 1, 0), common, common + 1, g.n}:
+                assert _max_vertex_flow(g, s, t, cap) == min(cap, paths), (g.adj, s, t, cap)
+                capped += cap < paths
+            flows.append(_max_vertex_flow(g, s, t, g.n))
+        assert min(flows, default=g.n - 1) == kappa
+    assert capped > 0 and augmented > 0
+
+
+def test_vertex_connectivity_matches_networkx_on_compk8_classes():
+    graphs = list(generate(GenSpec(9, min_degree=6, prune="K7")))
+    assert graphs
+    for g in graphs:
+        h = nx.empty_graph(g.n)
+        h.add_edges_from(g.edges())
+        assert vertex_connectivity(g) == nx.node_connectivity(h), g.adj
 
 
 def test_apex_augment_k6():
@@ -270,13 +320,12 @@ def test_verdict_matches_contraction_oracle_random():
 
 @contextmanager
 def _probe(on):
-    """The kernel as it is, or with the contraction probe off and a memo of
-    its own, so that every positive it is asked about is computed by the
-    peel and the partition search."""
+    """The kernel as it is, or with the contraction probe off, so that every
+    positive it is asked about is computed by the peel and the partition
+    search."""
     with pytest.MonkeyPatch.context() as mp:
         if not on:
             mp.setattr(minors, "_contraction_probe", lambda g, r: None)
-            mp.setattr(minors, "_KR_MEMO", {})
         yield
 
 
@@ -307,13 +356,6 @@ def test_verdict_matches_contraction_oracle_near_edge_cap(probe):
     assert contracted > 0
 
 
-def _fresh_verdict(g, r):
-    """kr_minor_verdict with an empty memo, so that a relabelled host is
-    searched again instead of answered from its certificate."""
-    _KR_MEMO.clear()
-    return kr_minor_verdict(g, r)
-
-
 def _reversed(g):
     return from_rows(g.n, [
         sum(1 << (g.n - 1 - u) for u in range(g.n) if g.adj[v] >> u & 1)
@@ -321,11 +363,10 @@ def _reversed(g):
     ])
 
 
-def test_verdict_survives_reversed_labels_on_apex_and_near_cap_hosts():
-    # the partition search branches on the uncovered vertex with the fewest
-    # uncovered neighbours, which need not be the lowest, so the part grown
-    # from it must range over lower vertices too; reversing the labels moves
-    # the vertices a rule that looked only upwards would miss
+def _apex_and_near_cap_hosts():
+    """(host, r): for K7, each corpus graph on at most 8 vertices with one
+    apex joined to all of it and a second joined to a subset S (|S| <= 6);
+    and 60 random hosts a few edges under the minor-free edge cap."""
     hosts = []
     for g in load_corpus():
         if g.n <= 8:
@@ -339,17 +380,36 @@ def test_verdict_survives_reversed_labels_on_apex_and_near_cap_hosts():
         m = mader_edge_cap(n, r) - rng.randint(0, 3)
         hosts.append((make_graph(
             n, rng.sample(list(itertools.combinations(range(n), 2)), m)), r))
+    return hosts
+
+
+def test_verdict_survives_reversed_labels_on_apex_and_near_cap_hosts():
+    # the partition search branches on the uncovered vertex with the fewest
+    # uncovered neighbours, which need not be the lowest, so the part grown
+    # from it must range over lower vertices too; reversing the labels moves
+    # the vertices a rule that looked only upwards would miss
+    hosts = _apex_and_near_cap_hosts()
     memo, brute, verdicts = {}, 0, []
     for g, r in hosts:
-        verdict = _fresh_verdict(g, r)
-        assert _fresh_verdict(_reversed(g), r) == verdict, (g.adj, r)
+        verdict = kr_minor_verdict(g, r)
+        assert kr_minor_verdict(_reversed(g), r) == verdict, (g.adj, r)
         if g.n <= 9:  # the contraction oracle is cheap up to here
             assert kr_minor_brute(g, r, memo) == verdict, (g.adj, r)
             brute += 1
         verdicts.append(verdict)
-    _KR_MEMO.clear()
     assert len(hosts) == 1416 and brute > 100
     assert verdicts.count(False) > 100 and verdicts.count(True) > 100
+
+
+def test_verdict_builds_no_certificate_and_caches_nothing(monkeypatch):
+    # no verdict is cached, so no query needs a canonical search for a key
+    def no_search(*args):
+        raise AssertionError("kr_minor_verdict ran a canonical search")
+
+    monkeypatch.setattr(canon, "_min_key", no_search)
+    verdicts = [kr_minor_verdict(g, r) for g, r in _apex_and_near_cap_hosts()]
+    assert verdicts.count(False) > 100 and verdicts.count(True) > 100
+    assert minors._KR_MEMO == {}
 
 
 def test_peel_deletes_simplicial_vertices_of_degree_at_most_r_minus_2():

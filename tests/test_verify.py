@@ -216,15 +216,17 @@ def _leave_marker(task: tuple[str, float]) -> str:
 
 def test_closing_parallel_map_early_cancels_the_tasks_not_started(tmp_path):
     # a reader that stops, as `| head` does, must not wait for the whole
-    # sweep.  Two workers take 40 tasks in 8 chunks of 5; the first chunk
-    # is instant, so the first result comes while most tasks are pending.
+    # sweep.  Two workers take 40 tasks one at a time (a sweep this short
+    # gets one-item chunks); the first five are instant, so the first result
+    # comes while most tasks are pending, and only those running or queued
+    # beside them then still run.
     from triminor.verify import _parallel_map
 
     tasks = [(str(tmp_path / f"task{i}"), 0.0 if i < 5 else 0.05) for i in range(40)]
     results = _parallel_map(_leave_marker, tasks, {"workers": 2})
     assert next(results) == tasks[0][0]
     results.close()  # returns once the tasks already started have finished
-    assert sum(Path(path).exists() for path, _ in tasks) < len(tasks)
+    assert sum(Path(path).exists() for path, _ in tasks) <= 15
 
 
 def test_compk7_apex_verdicts_match_contraction_oracle():
@@ -294,7 +296,7 @@ def test_lemma_compk8_warns_that_n11_runs_long(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert "868,311 classes" in captured.err and "222 s" in captured.err
+    assert "868,311 classes" in captured.err and "255 s" in captured.err
     list(run_check("lemma-compk8", n=10))
     assert capsys.readouterr().err == ""
 
