@@ -113,6 +113,8 @@ def validate(g: Graph) -> None:
 
 
 def complete(r: int) -> Graph:
+    if not 1 <= r <= MAX_VERTICES:
+        raise ValueError(f"vertex count {r} outside 1..{MAX_VERTICES}")
     full = (1 << r) - 1
     return from_rows(r, [full ^ (1 << v) for v in range(r)])
 

@@ -7,12 +7,13 @@ realised by at least one host edge between the corresponding sets.  For a
 non-complete pattern the search (_search_model) places branch sets one
 pattern vertex at a time, enumerating candidate connected subsets of the
 unused vertices and pruning on vertex budget and on required adjacency to
-already-placed sets.  Complete minors are decided in this order (see
-kr_minor_verdict): size and edge-cap shortcuts; a greedy contraction probe
-that can only answer yes, and only with a contraction model (see
-_contraction_probe); exact reductions that delete low-degree simplicial
-vertices and contract degree-2 ones (see _peel_for_clique); and last a
-narrower search: on a connected host the branch sets can be taken to
+already-placed sets.  Complete minors have one search (_clique_model),
+asked by kr_minor_verdict after its size and edge-cap shortcuts and by
+has_minor after a clique test: a greedy contraction probe that can only
+answer yes, and only with a contraction model (see _contraction_probe);
+exact reductions that delete low-degree simplicial vertices and contract
+degree-2 ones (see _peel_for_clique); a clique of what the peel leaves; and
+last a narrower search: on a connected host the branch sets can be taken to
 partition the vertices, and the next part is grown from the uncovered
 vertex with the fewest uncovered neighbours (see _partition_model).  That
 search also cuts every branch whose uncovered vertices have too few edges
@@ -33,7 +34,7 @@ from math import comb
 
 from .canon import automorphisms
 from .cliques import has_clique
-from .graphs import Graph, bits, from_rows, induced, mader_edge_cap
+from .graphs import Graph, bits, from_rows, mader_edge_cap
 
 EXHAUSTIVE_HOST_LIMIT = 16
 
@@ -79,7 +80,7 @@ def validate_minor_witness(g: Graph, w: MinorWitness) -> None:
 
 def _search_model(g: Graph, h: Graph) -> list[int] | None:
     """Branch-set masks realising h in g, or None.  has_minor sends only
-    non-complete patterns here; complete ones go to _partition_model.
+    non-complete patterns here; complete ones go to _clique_model.
 
     Pruning: per-set growth budget from the remaining vertex pool, required
     adjacency to placed sets checked during growth, and placed sets that
@@ -274,25 +275,19 @@ def _masks_to_witness(pattern: Graph, masks: list[int]) -> MinorWitness:
 def has_minor(g: Graph, h: Graph) -> MinorWitness | None:
     """Exhaustive exact test for h as a minor of g, with witness.
 
-    A complete pattern is decided by kr_minor_verdict first; its witness is
-    then a clique of g when there is one, else branch sets that partition a
-    component of g, ordered by minimum element.
+    For a complete pattern the witness is a clique of g when there is one,
+    else the model _clique_model finds; either way the branch sets are
+    ordered by minimum element.
     """
     if g.n > EXHAUSTIVE_HOST_LIMIT:
         raise ValueError(f"host has {g.n} > {EXHAUSTIVE_HOST_LIMIT} vertices")
     if h.edge_count < comb(h.n, 2):
         masks = _search_model(g, h)
-        return None if masks is None else _masks_to_witness(h, masks)
-    if not kr_minor_verdict(g, h.n):
-        return None
-    clique = has_clique(g, h.n)
-    if clique is not None:
-        return _masks_to_witness(h, [1 << v for v in sorted(clique)])
-    for comp in _component_masks(g.adj, (1 << g.n) - 1):
-        masks = _partition_model(g.adj, comp, h.n)
-        if masks is not None:
-            return _masks_to_witness(h, masks)
-    raise AssertionError("verdict and witness search disagree")
+    else:
+        clique = has_clique(g, h.n)
+        masks = (_clique_model(g, h.n) if clique is None
+                 else [1 << v for v in sorted(clique)])
+    return None if masks is None else _masks_to_witness(h, masks)
 
 
 # Always empty: no verdict is cached.  The benchmark's child process and
@@ -315,17 +310,7 @@ def _reach(adj: tuple[int, ...], start: int, within: int) -> int:
     return seen
 
 
-def _component_masks(adj: tuple[int, ...], alive: int) -> list[int]:
-    comps = []
-    left = alive
-    while left:
-        comp = _reach(adj, left & -left, left)
-        comps.append(comp)
-        left &= ~comp
-    return comps
-
-
-def _peel_for_clique(g: Graph, r: int) -> tuple[Graph, int]:
+def _peel_for_clique(g: Graph, r: int) -> tuple[Graph, int, list[int]]:
     """Shrink g without changing whether it has a complete minor on r vertices.
 
     A simplicial vertex v of degree <= r - 2 (its live neighbours form a
@@ -336,10 +321,14 @@ def _peel_for_clique(g: Graph, r: int) -> tuple[Graph, int]:
     neighbour, since a branch set reduced to that single vertex could
     attach to at most two others.
 
-    Returns g with the contractions applied, still on its own labels, and
-    the mask of the vertices that survive; it may be empty.
+    Returns g with the contractions applied, on its own labels and its rows
+    masked to the survivors; the mask of the survivors, which may be empty;
+    and for each survivor the mask of itself and the vertices contracted
+    into it.  These sets are connected in g and realise every edge of the
+    peeled graph, so a model there maps back to g by their union.
     """
     rows = list(g.adj)
+    merged = [1 << v for v in range(g.n)]
     alive = (1 << g.n) - 1
     changed = True
     while changed:
@@ -360,8 +349,10 @@ def _peel_for_clique(g: Graph, r: int) -> tuple[Graph, int]:
                 alive ^= low
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
+                merged[a] |= merged[v]
                 changed = True
-    return from_rows(g.n, rows), alive
+    peeled = [rows[v] & alive if alive >> v & 1 else 0 for v in range(g.n)]
+    return from_rows(g.n, peeled), alive, merged
 
 
 def _is_clique(rows: list[int], mask: int) -> bool:
@@ -373,16 +364,6 @@ def _is_clique(rows: list[int], mask: int) -> bool:
         if mask & ~rows[low.bit_length() - 1] != low:
             return False
     return True
-
-
-def _size_verdict(g: Graph, r: int) -> bool | None:
-    """False when g is too small for a complete minor on r vertices, True
-    when it is over the minor-free edge cap, None when size cannot tell."""
-    if g.n < r or g.edge_count < comb(r, 2):
-        return False
-    if r <= 7 and g.edge_count > mader_edge_cap(g.n, r):
-        return True  # over the minor-free edge cap, a model must exist
-    return None
 
 
 def _contraction_probe(g: Graph, r: int) -> list[int] | None:
@@ -434,37 +415,43 @@ def _contraction_probe(g: Graph, r: int) -> list[int] | None:
     return None
 
 
+def _clique_model(g: Graph, r: int) -> list[int] | None:
+    """Branch-set masks of a complete minor on r vertices in g, on g's own
+    labels and sorted by minimum vertex, or None when g has none: the
+    contraction probe's model, else a clique of the peeled graph or a
+    partition model of one of its components, mapped back to g."""
+    masks = _contraction_probe(g, r)
+    if masks is None:
+        peeled, alive, merged = _peel_for_clique(g, r)
+        clique = has_clique(peeled, r)
+        if clique is not None:
+            masks = [1 << v for v in clique]
+        left = alive
+        while masks is None and left:
+            comp = _reach(peeled.adj, left & -left, left)
+            left &= ~comp
+            masks = _partition_model(peeled.adj, comp, r)
+        if masks is None:
+            return None
+        # the merged sets of distinct survivors are disjoint: sum is union
+        masks = [sum(merged[v] for v in bits(m)) for m in masks]
+    return sorted(masks, key=lambda m: m & -m)
+
+
 def kr_minor_verdict(g: Graph, r: int) -> bool:
     """Does g have a complete minor on r vertices?
 
-    The one place that decides it, in this order: size and edge-cap
-    shortcuts, a greedy contraction probe that can only answer yes, then a
-    computed verdict that peels g, splits the rest into components and gives
-    each the size tests, a clique test and, last, the exhaustive search for
-    a partition into connected, pairwise adjacent parts.
+    False when g has fewer than r vertices or C(r, 2) edges, True when it
+    is over the minor-free edge cap, which answers every r <= 2; otherwise
+    whether _clique_model finds a model.  Raises ValueError for r < 1.
     """
-    if r <= 1:
-        return g.n >= r
-    if r == 2:
-        return g.edge_count >= 1
-    known = _size_verdict(g, r)
-    if known is not None:
-        return known
-    if r == 3:  # a triangle minor is exactly a cycle
-        comps = _component_masks(g.adj, (1 << g.n) - 1)
-        return g.edge_count > g.n - len(comps)
-    if _contraction_probe(g, r) is not None:
-        return True
-    peeled, alive = _peel_for_clique(g, r)
-    for comp in _component_masks(peeled.adj, alive):
-        part = induced(peeled, bits(comp))
-        found = _size_verdict(part, r)
-        if found is None:
-            found = (has_clique(part, r) is not None
-                     or _partition_model(part.adj, (1 << part.n) - 1, r) is not None)
-        if found:
-            return True
-    return False
+    if r < 1:
+        raise ValueError(f"no complete minor on r={r} < 1 vertices")
+    if g.n < r or g.edge_count < comb(r, 2):
+        return False
+    if r <= 7 and g.edge_count > mader_edge_cap(g.n, r):
+        return True  # over the minor-free edge cap, a model must exist
+    return _clique_model(g, r) is not None
 
 
 def attach_vertex(g: Graph, neighbourhood) -> Graph:
@@ -476,15 +463,19 @@ def attach_vertex(g: Graph, neighbourhood) -> Graph:
     return from_rows(g.n + 1, rows)
 
 
-def _orbit(subset: tuple[int, ...], gens: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
-    """The orbit of a sorted subset under the group the permutations in gens
-    generate, as sorted tuples."""
+def _orbit(subset: int, gens: Sequence[Sequence[int]]) -> set[int]:
+    """The orbit of a vertex subset under the group that gens generate, as
+    bitmasks; each generator lists the one-bit mask of each vertex's image."""
     orbit = {subset}
     todo = [subset]
     while todo:
         s = todo.pop()
         for perm in gens:
-            image = tuple(sorted(perm[v] for v in s))
+            image, m = 0, s
+            while m:
+                low = m & -m
+                m ^= low
+                image |= perm[low.bit_length() - 1]
             if image not in orbit:
                 orbit.add(image)
                 todo.append(image)
@@ -511,27 +502,28 @@ def apex_augment_check(
     universe = tuple(range(g.n)) if candidates is None else tuple(candidates)
     rest = [v for v in range(g.n) if v not in universe]
     cells = [c for c in (list(universe), rest) if c]
-    # subsets are sorted tuples of positions in universe, so the generators
-    # must map the universe onto itself
+    # subsets are bitmasks of positions in universe, so the generators must
+    # map the universe onto itself
     place = {v: i for i, v in enumerate(universe)}
-    gens = [[place[perm[v]] for v in universe] for perm in automorphisms(g, cells)]
-    verdicts: dict[tuple[int, ...], bool] = {}
+    gens = [[1 << place[perm[v]] for v in universe] for perm in automorphisms(g, cells)]
+    verdicts: dict[int, bool] = {}
     survivors: dict[int, list[tuple[int, ...]]] = {}
-    alive: set[tuple[int, ...]] = {()}
+    alive = {0}
     for k in range(1, k_max + 1):
         level = []
         for subset in combinations(range(len(universe)), k):
-            if any(subset[:i] + subset[i + 1:] not in alive for i in range(k)):
+            mask = sum(1 << i for i in subset)
+            if any(mask ^ (1 << i) not in alive for i in subset):
                 continue
-            found = verdicts.get(subset)
+            found = verdicts.get(mask)
             if found is None:
                 found = kr_minor_verdict(attach_vertex(g, (universe[i] for i in subset)), r)
-                verdicts.update(dict.fromkeys(_orbit(subset, gens), found))
+                verdicts.update(dict.fromkeys(_orbit(mask, gens), found))
             if not found:
-                level.append(subset)
+                level.append(mask)
         if not level:
             break
-        survivors[k] = [tuple(universe[i] for i in subset) for subset in level]
+        survivors[k] = [tuple(universe[i] for i in bits(mask)) for mask in level]
         alive = set(level)
     return survivors
 
@@ -549,15 +541,16 @@ def double_apex_check(h: Graph, r: int = 8) -> tuple[int, ...] | None:
         raise ValueError(f"augmented host would exceed {EXHAUSTIVE_HOST_LIMIT} vertices")
     if h.n <= 7:
         return None  # Y must be a proper subset
-    gens = automorphisms(h, [list(range(h.n))])
+    gens = [[1 << v for v in perm] for perm in automorphisms(h, [list(range(h.n))])]
     apex = attach_vertex(h, range(h.n))
-    asked: set[tuple[int, ...]] = set()
+    asked: set[int] = set()
     for y in combinations(range(h.n), 7):
-        if y in asked:
+        mask = sum(1 << v for v in y)
+        if mask in asked:
             continue
         if not kr_minor_verdict(attach_vertex(apex, y), r):
             return y
-        asked |= _orbit(y, gens)
+        asked |= _orbit(mask, gens)
     return None
 
 

@@ -59,6 +59,13 @@ def test_minor_clique_pattern_larger_than_any_host():
     assert records(proc.stdout)[0]["witness"]["result"] == "none"
 
 
+def test_minor_clique_pattern_on_no_vertices_is_refused():
+    proc = run_cli(["minor", "--pattern", "K0", "D~{"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "vertex count 0" in proc.stderr
+
+
 def test_triangles_cap_on_minor_free_input():
     # K6-minor-free corpus members are K7-minor-free, so an edge at a vertex
     # of degree <= 9 lies in at most 4 triangles

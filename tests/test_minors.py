@@ -314,7 +314,7 @@ def test_verdict_matches_contraction_oracle_random():
     memo = {}
     for _ in range(150):
         g = random_graph_for_tests(rng.randint(3, 8), rng, p=rng.uniform(0.2, 0.9))
-        for r in (3, 4, 5, 6):
+        for r in range(1, 7):
             assert kr_minor_verdict(g, r) == kr_minor_brute(g, r, memo)
 
 
@@ -429,6 +429,28 @@ def test_peel_deletes_simplicial_vertices_of_degree_at_most_r_minus_2():
     assert _peel_for_clique(g, 4)[1] == 0b1111
 
 
+def test_peeled_models_map_back_through_the_contractions():
+    # a subdivision vertex has degree 2 and non-adjacent neighbours, so the
+    # peel contracts it into its lower neighbour and leaves K_r; with the
+    # probe off, the clique found there comes back to g only if that
+    # neighbour's branch set takes the subdivision vertex with it
+    for r, subdivided in [(5, [(0, 1)]), (6, [(0, 1), (2, 3)])]:
+        edges = [e for e in itertools.combinations(range(r), 2) if e not in subdivided]
+        for s, (a, b) in enumerate(subdivided, start=r):
+            edges += [(a, s), (s, b)]
+        g = make_graph(r + len(subdivided), edges)
+        peeled, alive, merged = _peel_for_clique(g, r)
+        assert alive == (1 << r) - 1
+        assert peeled.adj == complete(r).adj + (0,) * len(subdivided)
+        for s, (a, _) in enumerate(subdivided, start=r):
+            assert merged[a] == 1 << a | 1 << s
+        with _probe(False):
+            w = has_minor(g, complete(r))
+        validate_minor_witness(g, w)
+        for s in range(r, g.n):
+            assert any(s in branch_set for branch_set in w.branch_sets)
+
+
 def test_verdict_false_when_peel_empties_the_graph():
     path = make_graph(8, [(i, i + 1) for i in range(7)])
     assert kr_minor_verdict(path, 4) is False
@@ -443,7 +465,7 @@ def small_graphs(draw, max_n=8):
 
 @PROBE_ON_OFF
 @settings(derandomize=True, deadline=None, max_examples=500)
-@given(small_graphs(), st.integers(3, 6))
+@given(small_graphs(), st.integers(1, 6))
 def test_verdict_and_witness_match_contraction_oracle(probe, g, r):
     with _probe(probe):
         verdict = kr_minor_verdict(g, r)
@@ -571,3 +593,5 @@ def test_host_size_limits():
         has_minor(big, complete(3))
     with pytest.raises(ValueError):
         has_minor(big, make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    with pytest.raises(ValueError):
+        kr_minor_verdict(complete(3), 0)
