@@ -86,8 +86,14 @@ def _transposition(n: int, a: int, b: int) -> list[int]:
     return perm
 
 
-def _min_key(g: Graph, cells: list[list[int]], autos: list[list[int]] | None = None) -> int:
-    """Minimal triangle key over all refinement-compatible orderings.
+def _min_key(
+    g: Graph,
+    cells: list[list[int]],
+    autos: list[list[int]] | None = None,
+    bound: int = -1,
+) -> int:
+    """Minimal triangle key over all refinement-compatible orderings, or
+    the key of the first leaf at or below `bound`, where the search stops.
 
     Each search node holds an equitable ordered partition; a branch splits
     a vertex v off the first non-singleton cell and refines with v alone as
@@ -100,7 +106,8 @@ def _min_key(g: Graph, cells: list[list[int]], autos: list[list[int]] | None = N
     of each twin skipped by twin pruning with the twin that was kept.
     Together they generate the group, because the minimal leaves form one
     coset of it and every pruned subtree is a twin transposition's image of
-    a searched one.
+    a searched one.  A search that stops at `bound` may not have met every
+    minimal leaf, so give `bound` only without `autos`.
     """
     nbits = comb(g.n, 2)
     if g.edge_count in (0, nbits):
@@ -149,6 +156,8 @@ def _min_key(g: Graph, cells: list[list[int]], autos: list[list[int]] | None = N
             seen_closed[closed_sig] = v
             other = [w for w in rest if w != v]
             rec(_refine(adj, head + [[v], other] + tail, [[v]]))
+            if best <= bound:
+                return
 
     rec(_refine(adj, cells))
     assert best is not None
@@ -162,6 +171,23 @@ def canonical_cert(g: Graph) -> bytes:
     return bytes([g.n]) + key.to_bytes(nbytes, "big")
 
 
+def cell_positions(g: Graph) -> list[int]:
+    """The index of each vertex's cell in the stable refinement of the unit
+    partition, the root of every canon search.  Refinement orders its cells
+    by neighbour counts alone, so an isomorphism maps each vertex to one
+    with the same index."""
+    pos = [0] * g.n
+    for i, cell in enumerate(_refine(g.adj, [list(range(g.n))])):
+        for v in cell:
+            pos[v] = i
+    return pos
+
+
+def _pair_cells(n: int, u: int, v: int) -> list[list[int]]:
+    rest = [w for w in range(n) if w != u and w != v]
+    return [[u, v]] + ([rest] if rest else [])
+
+
 def pair_cert(g: Graph, u: int, v: int) -> bytes:
     """Certificate of g with the pair {u, v} distinguished.
 
@@ -169,11 +195,22 @@ def pair_cert(g: Graph, u: int, v: int) -> bytes:
     automorphism maps one pair onto the other, so this groups edges (or
     non-edges) into automorphism orbits.
     """
-    rest = [w for w in range(g.n) if w != u and w != v]
-    cells = [[u, v]] + ([rest] if rest else [])
-    key = _min_key(g, cells)
+    key = _min_key(g, _pair_cells(g.n, u, v))
     nbytes = (comb(g.n, 2) + 7) // 8
     return key.to_bytes(nbytes, "big")
+
+
+def pair_cert_below(g: Graph, u: int, v: int, cert: bytes) -> bool:
+    """Whether pair_cert(g, u, v) < cert, where cert is the pair certificate
+    of another pair {x, y} of g.
+
+    The search stops at its first leaf at or below cert.  A smaller leaf
+    answers yes.  An equal one answers no, and puts {u, v} in the orbit of
+    {x, y}: both leaves put the pair first, so mapping the leaf of cert
+    onto it is an automorphism taking {x, y} to {u, v}.
+    """
+    bound = int.from_bytes(cert, "big")
+    return _min_key(g, _pair_cells(g.n, u, v), bound=bound) < bound
 
 
 def automorphisms(g: Graph, cells: list[list[int]]) -> list[tuple[int, ...]]:

@@ -4,12 +4,16 @@ Graphs on n vertices grow edge by edge from the empty graph.  A child is
 accepted only when the edge just added lies in the automorphism orbit of the
 child's canonical deletion edge (the orbit minimising an invariant key), so
 every isomorphism class is produced exactly once with no global seen-set.
+The key is, in order, the edge invariant, the cell key (the cells of the
+edge's ends in the child's refined partition) and the pair certificate.
 The filters run cheapest first, which changes no output (McKay,
 "Isomorph-free exhaustive generation", 1998): degree and edge caps are read
 off the parent, so a capped augmentation is never built; the invariant part
 of that test runs on every other augmentation from the parent's own
-invariants and hands the edges that tie on it to the certificate part; and
-the parent's automorphism search runs only on the augmentations it keeps.
+invariants and hands the edges that tie on it to the rest of the test; the
+parent's automorphism search runs only on the augmentations it keeps; and a
+tie that the cell key leaves gets a pair search that stops at the first
+leaf at or below the added edge's certificate.
 Hereditary pruning cuts whole subtrees: a predicate that can never be
 repaired by further edge additions (degree caps, edge caps, forbidden clique
 minors) rejects a graph together with all its supergraphs.
@@ -26,7 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .canon import pair_cert, pair_orbits
+from .canon import cell_positions, pair_cert, pair_cert_below, pair_orbits
 from .graphs import Graph, bits, complement, from_rows, mader_edge_cap
 from .minors import EXHAUSTIVE_HOST_LIMIT, kr_minor_verdict
 
@@ -53,6 +57,8 @@ class GenSpec:
             raise ValueError(f"n={self.n} outside 1..64")
         if self.max_edges is not None and self.max_edges < 0:
             raise ValueError(f"max_edges {self.max_edges} is negative")
+        if self.min_degree < 0:
+            raise ValueError(f"min_degree {self.min_degree} is negative")
         if self.min_degree >= self.n:
             raise ValueError(f"min_degree {self.min_degree} infeasible for n={self.n}")
         if self.prune != "none" and self.n > EXHAUSTIVE_HOST_LIMIT:
@@ -144,15 +150,29 @@ def _is_canonical_child(
     given that no edge of g has a smaller invariant than the added one and
     `ties` lists the others that share it (see `_invariant_survivors`).
 
-    The canonical deletion edge minimises (invariant, pair certificate),
-    an isomorphism-invariant key, so exactly one augmentation orbit leading
-    to each child class is ever accepted.  Pair certificates are computed
-    only when another edge ties the added one on the invariant.
+    The canonical deletion edge minimises (invariant, cell key, pair
+    certificate), an isomorphism-invariant key, so exactly one augmentation
+    orbit leading to each child class is ever accepted.  The cell key of an
+    edge is the sorted pair of its ends' `cell_positions`, computed only
+    when another edge ties the added one on the invariant; the added edge's
+    pair certificate only when a tie also shares its cell key; and each of
+    those ties gets a search that stops at the first leaf at or below it.
     """
     if not ties:
         return True
+    pos = cell_positions(g)
+    key_added = sorted((pos[added[0]], pos[added[1]]))
+    same = []
+    for u, v in ties:
+        key = sorted((pos[u], pos[v]))
+        if key < key_added:
+            return False
+        if key == key_added:
+            same.append((u, v))
+    if not same:
+        return True
     cert_added = pair_cert(g, *added)
-    return all(pair_cert(g, u, v) >= cert_added for u, v in ties)
+    return not any(pair_cert_below(g, u, v, cert_added) for u, v in same)
 
 
 def _with_edge(g: Graph, u: int, v: int) -> Graph:
@@ -183,9 +203,10 @@ def orderly_stream(
     invariant part of the canonical test runs on each of those, from the
     parent's invariants (`_invariant_survivors`); the automorphism search
     (`_orbit_reps`) runs on what survives, and only when two or more pairs
-    do; the least pair of each orbit then meets the pair-certificate part of
-    the canonical test (`_is_canonical_child`), against the tied edges the
-    invariant test found, and `keep_after` only once that accepts it.
+    do; the least pair of each orbit then meets the rest of the canonical
+    test (`_is_canonical_child`) against the tied edges the invariant test
+    found: the refined-cell key, then bounded pair certificates.
+    `keep_after` is asked only once that accepts it.
     The caps and the invariant test are isomorphism-invariant, so what
     survives them is a union of orbits, and its orbit reps are those of all
     the non-edges that survive, in the same order: the order of the filters

@@ -29,11 +29,12 @@ def write_graph6(g: Graph) -> str:
         head = "~" + "".join(
             chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)
         )
+    adj = g.adj
     bit_str = 0
-    nbits = 0
-    for i, j in _triangle_positions(g.n):
-        bit_str = bit_str << 1 | (g.adj[i] >> j & 1)
-        nbits += 1
+    for j in range(1, g.n):
+        for i in range(j):
+            bit_str = bit_str << 1 | (adj[i] >> j & 1)
+    nbits = g.n * (g.n - 1) // 2
     pad = (-nbits) % 6
     bit_str <<= pad
     nbits += pad

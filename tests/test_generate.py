@@ -5,7 +5,7 @@ import random
 import pytest
 
 from oracles import all_graphs_on, random_graph_for_tests
-from triminor.canon import canonical_cert, is_isomorphic, pair_cert
+from triminor.canon import canonical_cert, cell_positions, is_isomorphic, pair_cert
 from triminor.generate import (
     GenSpec,
     _invariant_survivors,
@@ -173,22 +173,15 @@ def test_orbit_reps_match_pair_cert_grouping():
 
 
 def _is_canonical_child_by_min(g, added):
-    """Reference: find the least invariant over all edges first, then
-    compare the pair certificates of every edge that attains it."""
-    edges = g.edges()
-    if len(edges) == 1:
-        return True
-    inv_added = _edge_invariant(g, *added)
-    cheapest = min(_edge_invariant(g, u, v) for u, v in edges)
-    if inv_added != cheapest:
-        return False
-    cert_added = pair_cert(g, *added)
-    for u, v in edges:
-        if (u, v) == added or _edge_invariant(g, u, v) != cheapest:
-            continue
-        if pair_cert(g, u, v) < cert_added:
-            return False
-    return True
+    """Reference: the full key (invariant, cell key, pair certificate) of
+    every edge, and whether the added edge's is the least."""
+    pos = cell_positions(g)
+
+    def full_key(u, v):
+        return (_edge_invariant(g, u, v), tuple(sorted((pos[u], pos[v]))),
+                pair_cert(g, u, v))
+
+    return full_key(*added) == min(full_key(u, v) for u, v in g.edges())
 
 
 def test_canonical_child_test_matches_reference_on_every_child():
@@ -300,17 +293,19 @@ def test_edge_cap_gives_the_level_at_the_cap_no_children(monkeypatch):
     assert {parent.edge_count for parent, _ in scans} == {0, 1, 2, 3, 4}
 
 
-@pytest.mark.parametrize("spec, searches, pair_certs", [
-    (GenSpec(9, min_degree=5), 454, 2203),
-    (GenSpec(9, min_degree=6, prune="K7"), 36, 197),
+@pytest.mark.parametrize("spec, searches, refined, pair_certs, bounded", [
+    pytest.param(GenSpec(9, min_degree=5), 454, 813, 469, 761, id="n9-mindeg5"),
+    pytest.param(GenSpec(9, min_degree=6, prune="K7"), 36, 56, 52, 128, id="n9-mindeg6-K7"),
 ])
 def test_parent_automorphism_search_only_on_invariant_survivors(
-    monkeypatch, spec, searches, pair_certs
+    monkeypatch, spec, searches, refined, pair_certs, bounded
 ):
-    # one search per parent would be 1,165 and 70 here; the pair
-    # certificates of the canonical test do not change
+    # one search per parent would be 1,165 and 70 here; the children that
+    # tie on the invariant are refined once each, and the cell key leaves
+    # 469 + 761 and 52 + 128 pair searches of the 2,203 and 197 full pair
+    # certificates that the invariant ties alone would ask for
     gen_module = importlib.import_module("triminor.generate")
-    calls = {"pair_orbits": 0, "pair_cert": 0}
+    calls = {"pair_orbits": 0, "cell_positions": 0, "pair_cert": 0, "pair_cert_below": 0}
 
     def counted(name):
         inner = getattr(gen_module, name)
@@ -323,35 +318,66 @@ def test_parent_automorphism_search_only_on_invariant_survivors(
     for name in calls:
         monkeypatch.setattr(gen_module, name, counted(name))
     sum(1 for _ in generate(spec))
-    assert calls == {"pair_orbits": searches, "pair_cert": pair_certs}
+    assert calls == {"pair_orbits": searches, "cell_positions": refined,
+                     "pair_cert": pair_certs, "pair_cert_below": bounded}
 
 
 # sha256 of the `triminor gen` streams, the graph6 lines in stream order,
 # on the direct side (--n 7, --n 8) and the complement side
 # (--n 9 --min-degree 5, --n 10 --min-degree 6 --prune K7); a canon or
 # generation change that emits other representatives, or the same ones in
-# another order, must re-capture them on purpose; the two marked slow take
-# about 2 s each on a 2-core machine
+# another order, must re-capture them on purpose, and keep the class-set
+# pins below; the two marked slow take about 2 s each on a 2-core machine
 @pytest.mark.parametrize("spec, lines, digest", [
     pytest.param(
-        GenSpec(7), 1044, "b3d2a50157446306d5e83c4e4bd27ce1bc152e99df6960255eda3350ac582f4a",
+        GenSpec(7), 1044, "ea63e4b9d109e2f1cde720cf6ebfa20d87ca95fa99695ab97c49347032a792dc",
         id="n7"),
     pytest.param(
         GenSpec(9, min_degree=5), 1165,
-        "4ef7cb396e8c48e2977666594be4ad62ac9ce437ca5f64a8b09e9ab464222d74",
+        "ed7862bd1a1e8c8c52ac25ec14466bbb3536b3dcdac557cadcce14c55db4c72f",
         id="n9-mindeg5"),
     pytest.param(
-        GenSpec(8), 12346, "c0f3229aee910fddaef7fce68d5626c5c88f3a477153ede7647571fe567e8593",
+        GenSpec(8), 12346, "c2f13ca7017cebcb1e8af656f633891b7ff617ea31d78598b2b8c28e8bdd7f58",
         id="n8", marks=pytest.mark.slow),
     pytest.param(
         GenSpec(10, min_degree=6, prune="K7"), 122,
-        "116b624060378164c1fc4e5299833300105ac2348b892d74b040c9cf71824869",
+        "abe9ef53957a980c31e1de2b892571f5fb16108b2f4e1995380924f1e80ab997",
         id="n10-mindeg6-K7", marks=pytest.mark.slow),
 ])
 def test_gen_stream_is_pinned(spec, lines, digest):
     text = "".join(write_graph6(g) + "\n" for g in generate(spec))
     assert text.count("\n") == lines
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of the sorted canonical certificates of the same streams, and of
+# the direct side's K5-pruned --n 7 stream, joined: it pins the class sets,
+# not the representatives, so a change to the canonical deletion edge must
+# keep it; captured before the cell-key tie-break
+@pytest.mark.parametrize("spec, classes, digest", [
+    pytest.param(
+        GenSpec(7), 1044, "6327502e6233679c2a1d8649f70d50a51adbdbd7d58e293ff147404fa2103262",
+        id="n7"),
+    pytest.param(
+        GenSpec(9, min_degree=5), 1165,
+        "8385586e369a18a37d924304a10cc8a25cae30c9da718b31f3b2bff8c41f734a",
+        id="n9-mindeg5"),
+    pytest.param(
+        GenSpec(7, prune="K5"), 869,
+        "de41c6743a7d5eeb8b968c36e4760a4104d6c51b27303b0cacbd33a7b022a7c4",
+        id="n7-K5"),
+    pytest.param(
+        GenSpec(8), 12346, "2c15058da91c17c9e628209e81705ca9bbd1d6299e11e43bcdbc3e0875a6fe66",
+        id="n8", marks=pytest.mark.slow),
+    pytest.param(
+        GenSpec(10, min_degree=6, prune="K7"), 122,
+        "f8f2dc11539e9b1ffb735886d938f7492f978ab475cd328d0554bf19087bbf9c",
+        id="n10-mindeg6-K7", marks=pytest.mark.slow),
+])
+def test_gen_class_set_is_pinned(spec, classes, digest):
+    certs = sorted(canonical_cert(g) for g in generate(spec))
+    assert len(certs) == classes
+    assert hashlib.sha256(b"".join(certs)).hexdigest() == digest
 
 
 def test_stream_is_deterministic():
@@ -404,6 +430,8 @@ def test_genspec_validation():
     with pytest.raises(ValueError):
         GenSpec(5, min_degree=5)
     with pytest.raises(ValueError):
+        GenSpec(5, min_degree=-1)
+    with pytest.raises(ValueError):
         GenSpec(0)
     with pytest.raises(ValueError):
         GenSpec(17, prune="K6")
@@ -422,7 +450,9 @@ def test_mader_bound_on_generated_minor_free():
 def test_direct_side_pruning_asks_the_kernel_once_per_class(monkeypatch):
     # the edge cap comes before the canonical test and the kernel after it,
     # so each class is asked about once, where asking before the test asked
-    # once per augmentation orbit (5,918 calls here); same stream either way
+    # once per augmentation orbit (5,918 calls here); same stream either way.
+    # A change of representatives re-captures the hash; the class set is
+    # pinned by test_gen_class_set_is_pinned[n7-K5]
     gen_module = importlib.import_module("triminor.generate")
     asked = []
 
@@ -433,7 +463,7 @@ def test_direct_side_pruning_asks_the_kernel_once_per_class(monkeypatch):
     monkeypatch.setattr(gen_module, "kr_minor_verdict", counting)
     text = "".join(write_graph6(g) + "\n" for g in generate(GenSpec(7, prune="K5")))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "32f4e87f77b60f31fcc88f0336de59cd163fd31657c5bf6c6ee371291d4daa21"
+        "7c202e3e592edd735b20a8b95ca5620b503e1e0dee63c7551ad03b7c40ce0352"
     )
     assert text.count("\n") == 869
     assert len(asked) == len(set(asked)) == 922
