@@ -225,32 +225,24 @@ def automorphisms(g: Graph, cells: list[list[int]]) -> list[tuple[int, ...]]:
     return list(dict.fromkeys(map(tuple, autos)))
 
 
-def pair_orbits(g: Graph, pairs: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    """Automorphism orbits of the vertex pairs `pairs`, from one search.
-
-    `pairs` must be closed under the automorphisms of g (all edges, all
-    non-edges, or all pairs, say).  Each orbit lists its pairs in input
-    order, and the orbits come in the order of their first pair.
-    """
-    autos = automorphisms(g, [list(range(g.n))])
-    index = {pair: i for i, pair in enumerate(pairs)}
-    seen = [False] * len(pairs)
-    orbits: list[list[tuple[int, int]]] = []
-    for start in range(len(pairs)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        members = [start]
-        for i in members:
-            u, v = pairs[i]
-            for perm in autos:
-                a, b = perm[u], perm[v]
-                j = index[(a, b) if a < b else (b, a)]
-                if not seen[j]:
-                    seen[j] = True
-                    members.append(j)
-        orbits.append([pairs[i] for i in sorted(members)])
-    return orbits
+def orbit(mask: int, gens: list[tuple[int, ...]]) -> set[int]:
+    """The orbit of the vertex subset `mask` (a bitmask) under the group that
+    the permutations `gens` generate, as bitmasks; perm[v] is the image of
+    v, as `automorphisms` returns them."""
+    seen = {mask}
+    todo = [mask]
+    while todo:
+        s = todo.pop()
+        for perm in gens:
+            image, m = 0, s
+            while m:
+                low = m & -m
+                m ^= low
+                image |= 1 << perm[low.bit_length() - 1]
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -22,7 +22,7 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from .coloring import chromatic_number
-from .generate import GenSpec, generate, generate_count
+from .generate import PRUNE_IDS, GenSpec, generate, generate_count
 from .graph6 import parse_corpus, parse_graph6, read_corpus, write_graph6
 from .graphs import Graph, complete, min_triangle_edge
 from .minors import EXHAUSTIVE_HOST_LIMIT, has_minor
@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--min-degree", type=int, default=0)
     gen.add_argument("--prune", default="none",
-                     choices=["none", "K4", "K5", "K6", "K7", "K8"])
+                     choices=PRUNE_IDS)
     gen.add_argument("--max-edges", type=int, default=None)
     gen.add_argument("--count-only", action="store_true")
     gen.add_argument("--out", default=None, help="corpus file (default stdout)")

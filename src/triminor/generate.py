@@ -13,7 +13,8 @@ of that test runs on every other augmentation from the parent's own
 invariants and hands the edges that tie on it to the rest of the test; the
 parent's automorphism search runs only on the augmentations it keeps; and a
 tie that the cell key leaves gets a pair search that stops at the first
-leaf at or below the added edge's certificate.
+leaf at or below the added edge's certificate.  The parent's orbits are
+walked by `canon.orbit`, the one orbit walk the apex sweeps use too.
 Hereditary pruning cuts whole subtrees: a predicate that can never be
 repaired by further edge additions (degree caps, edge caps, forbidden clique
 minors) rejects a graph together with all its supergraphs.
@@ -30,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .canon import cell_positions, pair_cert, pair_cert_below, pair_orbits
+from .canon import automorphisms, cell_positions, orbit, pair_cert, pair_cert_below
 from .graphs import Graph, bits, complement, from_rows, mader_edge_cap
 from .minors import EXHAUSTIVE_HOST_LIMIT, kr_minor_verdict
 
@@ -139,8 +140,17 @@ def _invariant_survivors(
 
 
 def _orbit_reps(g: Graph, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The least pair of each automorphism orbit of the given vertex pairs."""
-    return sorted(min(o) for o in pair_orbits(g, pairs))
+    """The first pair of each automorphism orbit of the given vertex pairs.
+    The pairs come in lexicographic order, so that is each orbit's least."""
+    gens = automorphisms(g, [list(range(g.n))])
+    seen: set[int] = set()
+    reps = []
+    for u, v in pairs:
+        mask = 1 << u | 1 << v
+        if mask not in seen:
+            reps.append((u, v))
+            seen |= orbit(mask, gens)
+    return reps
 
 
 def _is_canonical_child(
@@ -203,7 +213,8 @@ def orderly_stream(
     invariant part of the canonical test runs on each of those, from the
     parent's invariants (`_invariant_survivors`); the automorphism search
     (`_orbit_reps`) runs on what survives, and only when two or more pairs
-    do; the least pair of each orbit then meets the rest of the canonical
+    do, and `canon.orbit` walks its generators over the surviving pairs'
+    masks; the least pair of each orbit then meets the rest of the canonical
     test (`_is_canonical_child`) against the tied edges the invariant test
     found: the refined-cell key, then bounded pair certificates.
     `keep_after` is asked only once that accepts it.

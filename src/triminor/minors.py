@@ -27,12 +27,11 @@ where these exhaustive searches are fast.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .canon import automorphisms
+from .canon import automorphisms, orbit
 from .cliques import has_clique
 from .graphs import Graph, bits, from_rows, mader_edge_cap
 
@@ -463,25 +462,6 @@ def attach_vertex(g: Graph, neighbourhood) -> Graph:
     return from_rows(g.n + 1, rows)
 
 
-def _orbit(subset: int, gens: Sequence[Sequence[int]]) -> set[int]:
-    """The orbit of a vertex subset under the group that gens generate, as
-    bitmasks; each generator lists the one-bit mask of each vertex's image."""
-    orbit = {subset}
-    todo = [subset]
-    while todo:
-        s = todo.pop()
-        for perm in gens:
-            image, m = 0, s
-            while m:
-                low = m & -m
-                m ^= low
-                image |= perm[low.bit_length() - 1]
-            if image not in orbit:
-                orbit.add(image)
-                todo.append(image)
-    return orbit
-
-
 def apex_augment_check(
     g: Graph, k_max: int, r: int, candidates: tuple[int, ...] | None = None
 ):
@@ -501,30 +481,26 @@ def apex_augment_check(
         raise ValueError(f"augmented host would exceed {EXHAUSTIVE_HOST_LIMIT} vertices")
     universe = tuple(range(g.n)) if candidates is None else tuple(candidates)
     rest = [v for v in range(g.n) if v not in universe]
-    cells = [c for c in (list(universe), rest) if c]
-    # subsets are bitmasks of positions in universe, so the generators must
-    # map the universe onto itself
-    place = {v: i for i, v in enumerate(universe)}
-    gens = [[1 << place[perm[v]] for v in universe] for perm in automorphisms(g, cells)]
+    gens = automorphisms(g, [c for c in (list(universe), rest) if c])
     verdicts: dict[int, bool] = {}
     survivors: dict[int, list[tuple[int, ...]]] = {}
-    alive = {0}
+    alive: dict[int, tuple[int, ...]] = {0: ()}
     for k in range(1, k_max + 1):
-        level = []
-        for subset in combinations(range(len(universe)), k):
-            mask = sum(1 << i for i in subset)
-            if any(mask ^ (1 << i) not in alive for i in subset):
+        level = {}
+        for subset in combinations(universe, k):
+            mask = sum(1 << v for v in subset)
+            if any(mask ^ (1 << v) not in alive for v in subset):
                 continue
             found = verdicts.get(mask)
             if found is None:
-                found = kr_minor_verdict(attach_vertex(g, (universe[i] for i in subset)), r)
-                verdicts.update(dict.fromkeys(_orbit(mask, gens), found))
+                found = kr_minor_verdict(attach_vertex(g, subset), r)
+                verdicts.update(dict.fromkeys(orbit(mask, gens), found))
             if not found:
-                level.append(mask)
+                level[mask] = subset
         if not level:
             break
-        survivors[k] = [tuple(universe[i] for i in bits(mask)) for mask in level]
-        alive = set(level)
+        survivors[k] = list(level.values())
+        alive = level
     return survivors
 
 
@@ -541,7 +517,7 @@ def double_apex_check(h: Graph, r: int = 8) -> tuple[int, ...] | None:
         raise ValueError(f"augmented host would exceed {EXHAUSTIVE_HOST_LIMIT} vertices")
     if h.n <= 7:
         return None  # Y must be a proper subset
-    gens = [[1 << v for v in perm] for perm in automorphisms(h, [list(range(h.n))])]
+    gens = automorphisms(h, [list(range(h.n))])
     apex = attach_vertex(h, range(h.n))
     asked: set[int] = set()
     for y in combinations(range(h.n), 7):
@@ -550,7 +526,7 @@ def double_apex_check(h: Graph, r: int = 8) -> tuple[int, ...] | None:
             continue
         if not kr_minor_verdict(attach_vertex(apex, y), r):
             return y
-        asked |= _orbit(mask, gens)
+        asked |= orbit(mask, gens)
     return None
 
 

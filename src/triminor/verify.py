@@ -105,13 +105,10 @@ def random_graph(n: int, m: int, rng: random.Random) -> Graph:
     return make_graph(n, rng.sample(pool, m))
 
 
-def random_kr_minor_free(
-    r: int, rng: random.Random, n_max: int, n_min: int | None = None
-) -> Graph:
+def random_kr_minor_free(r: int, rng: random.Random, n_max: int) -> Graph:
     """Rejection sampling at the minor-free edge budget."""
-    lo = n_min if n_min is not None else r
     while True:
-        n = rng.randint(lo, n_max)
+        n = rng.randint(r, n_max)
         cap = max(1, min(mader_edge_cap(n, r), comb(n, 2)))
         g = random_graph(n, rng.randint(1, cap), rng)
         if not kr_minor_verdict(g, r):
@@ -198,12 +195,11 @@ def _check_list22_r7(params: dict) -> Check:
         "list22-r7", "corpus-match", "pass" if match else "fail",
         None if match else {"regenerated": len(fresh), "shipped": len(shipped)}, t0,
     )
-    expected = params.get("expected", 22)
     count = len(regenerated)
-    witness = {"count": count, "expected": expected}
-    if count != expected:
+    witness = {"count": count, "expected": 22}
+    if count != 22:
         witness["graphs"] = [write_graph6(g) for g in regenerated]
-    return _summary("list22-r7", witness, ok=count == expected)
+    return _summary("list22-r7", witness, ok=count == 22)
 
 
 def _compk7_survivors(g6: str) -> tuple[str, list, int]:
@@ -391,7 +387,6 @@ def _check_claim_p10_subgraphs(params: dict) -> Check:
     vertices, one of them the octahedron."""
     yield from ()  # no per-input records: the summary is the only one
     pc = petersen_complement()
-    t0 = time.monotonic()
     classes: dict[bytes, Graph] = {}
     for subset in combinations(range(10), 6):
         sub = induced(pc, subset)
@@ -399,9 +394,9 @@ def _check_claim_p10_subgraphs(params: dict) -> Check:
     octa = complete_multipartite(2, 2, 2)
     has_octa = any(is_isomorphic(g, octa) for g in classes.values())
     ok = len(classes) == 6 and has_octa
-    return _line(
-        "claim-p10-subgraphs", "summary", "pass" if ok else "fail",
-        {"classes": len(classes), "expected": 6, "contains_octahedron": has_octa}, t0,
+    return _summary(
+        "claim-p10-subgraphs",
+        {"classes": len(classes), "expected": 6, "contains_octahedron": has_octa}, ok=ok,
     )
 
 
@@ -471,11 +466,11 @@ def _check_density_ktree(params: dict) -> Check:
     return _summary("density-ktree", {"per_k": per_k})
 
 
-def _density_sample(args: tuple[int, int, int]) -> tuple[int, str, bool]:
-    k, n_max, seed = args
+def _density_sample(args: tuple[int, int]) -> tuple[int, str, bool]:
+    k, seed = args
     rng = random.Random(seed)
     while True:
-        n = rng.randint(max(4, k - 2), n_max)
+        n = rng.randint(max(4, k - 2), 12)
         density = rng.uniform(0.4, 0.95)
         m = max(1, int(comb(n, 2) * density))
         g = random_graph(n, m, rng)
@@ -485,32 +480,26 @@ def _density_sample(args: tuple[int, int, int]) -> tuple[int, str, bool]:
 
 def _check_density_premise(params: dict) -> Check:
     """Sampling net: graphs meeting the triangle-density premise have the
-    promised complete minor (k in 4..7)."""
+    promised complete minor (k in 4..7); the samples have at most 12
+    vertices."""
     yield from ()  # no per-input records: the net's record is the only one
     seed = int(params.get("seed", 0))
     samples = int(params.get("samples", 1000))
-    n_max = int(params.get("n_max", 12))
-    jobs = [
-        (k, n_max, seed * 1_000_003 + k * 101 + i)
-        for k in range(4, 8)
-        for i in range(samples)
-    ]
-    t0 = time.monotonic()
+    jobs = [(k, seed * 1_000_003 + k * 101 + i) for k in range(4, 8) for i in range(samples)]
     failures = []
     for k, g6, ok in _parallel_map(_density_sample, jobs, params):
         if not ok:
             failures.append({"k": k, "graph6": g6})
-    return _line(
+    return ReportLine(
         "density-premise", f"net:{samples}x4", "pass" if not failures else "fail",
         {"failures": failures} if failures else {"samples": samples, "k": [4, 5, 6, 7]},
-        t0,
     )
 
 
-def _coloring_sample(args: tuple[int, int, int, int]) -> tuple[int, str, int]:
-    r, bound, n_max, seed = args
+def _coloring_sample(args: tuple[int, int, int]) -> tuple[int, str, int]:
+    r, bound, seed = args
     rng = random.Random(seed)
-    g = random_kr_minor_free(r, rng, n_max=n_max)
+    g = random_kr_minor_free(r, rng, n_max=14)
     return bound, write_graph6(g), chromatic_number(g).chi
 
 
@@ -523,15 +512,13 @@ def _check_coloring_bound(params: dict) -> Check:
     K7-minor-free graph at most 5n - 15, so no counterexample to the K7
     bound has fewer than 15 vertices.  Likewise an 11-critical graph has at
     least 5n edges and a K8-minor-free graph at most 6n - 20, so none to the
-    K8 bound has fewer than 20.  The samples have at most n_max (default
-    14) vertices.
+    K8 bound has fewer than 20.  The samples have at most 14 vertices.
     """
     seed = int(params.get("seed", 0))
     samples = int(params.get("samples", 1000))
-    n_max = int(params.get("n_max", 14))
     for r, bound in ((7, 8), (8, 10)):
         t0 = time.monotonic()
-        jobs = [(r, bound, n_max, seed * 7_777_777 + r * 13 + i) for i in range(samples)]
+        jobs = [(r, bound, seed * 7_777_777 + r * 13 + i) for i in range(samples)]
         bad = []
         for b, g6, chi in _parallel_map(_coloring_sample, jobs, params):
             if chi > b:
@@ -568,12 +555,11 @@ CHECK_IDS = tuple(sorted(_CHECKS))
 # The parameters each check reads; a parameter a check would ignore is
 # refused instead.
 _CHECK_PARAMS = {
-    "list22-r7": {"expected"},
     "lemma-compk7": {"workers"},
     "lemma-compk8": {"n", "workers"},
     "density-ktree": {"seed", "samples"},
-    "density-premise": {"seed", "samples", "n_max", "workers"},
-    "coloring-bound": {"seed", "samples", "n_max", "workers"},
+    "density-premise": {"seed", "samples", "workers"},
+    "coloring-bound": {"seed", "samples", "workers"},
 }
 
 

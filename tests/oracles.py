@@ -56,19 +56,25 @@ def isomorphic_brute(g: Graph, h: Graph) -> bool:
     return extend([], 0)
 
 
-def pair_orbits_brute(g: Graph, pairs) -> set[frozenset]:
-    """Orbits of the vertex pairs under every automorphism, found by trying
-    all vertex permutations (one that maps every edge onto an edge is an
-    automorphism, since it is a bijection on the finite edge set)."""
+def subset_orbits_brute(g: Graph, subsets, cells=None) -> set[frozenset]:
+    """Orbits of the vertex subsets (sorted tuples) under every automorphism
+    that maps each of `cells` onto itself (default: one cell of all
+    vertices), found by trying all vertex permutations (one that maps every
+    edge onto an edge is an automorphism, since it is a bijection on the
+    finite edge set)."""
     edges = g.edges()
     autos = [
         perm
         for perm in itertools.permutations(range(g.n))
         if all(g.has_edge(perm[u], perm[v]) for u, v in edges)
     ]
+    # a permutation that maps all cells but the first onto themselves maps
+    # the first onto itself too
+    for cell in (cells or [])[1:]:
+        autos = [perm for perm in autos if all(perm[v] in cell for v in cell)]
     return {
-        frozenset(tuple(sorted((perm[u], perm[v]))) for perm in autos)
-        for u, v in pairs
+        frozenset(tuple(sorted(map(perm.__getitem__, subset))) for perm in autos)
+        for subset in subsets
     }
 
 

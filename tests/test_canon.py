@@ -11,8 +11,8 @@ from oracles import (
     graph_from_code,
     isomorphic_brute,
     orbit_classes_on,
-    pair_orbits_brute,
     random_graph_for_tests,
+    subset_orbits_brute,
 )
 from triminor import canon
 from triminor.canon import (
@@ -23,9 +23,9 @@ from triminor.canon import (
     canonical_cert,
     cell_positions,
     is_isomorphic,
+    orbit,
     pair_cert,
     pair_cert_below,
-    pair_orbits,
 )
 from triminor.graphs import (
     complement,
@@ -178,16 +178,22 @@ def test_cell_positions_follow_a_relabelling():
         assert [moved[perm[v]] for v in range(g.n)] == pos
 
 
+def _mask(subset):
+    return sum(1 << v for v in subset)
+
+
+def _assert_orbits_match_brute(g, subsets, cells):
+    gens = automorphisms(g, cells)
+    brute = subset_orbits_brute(g, subsets, cells)
+    for subset in subsets:
+        expected = next(o for o in brute if subset in o)
+        assert orbit(_mask(subset), gens) == {_mask(s) for s in expected}, (g.adj, subset)
+
+
 def _assert_pair_orbits_match_brute(g):
+    # every pair, edges and non-edges alike; an orbit never mixes the two
     pairs = list(itertools.combinations(range(g.n), 2))
-    edges = [p for p in pairs if g.has_edge(*p)]
-    non_edges = [p for p in pairs if not g.has_edge(*p)]
-    brute = pair_orbits_brute(g, pairs)
-    for subset in (pairs, edges, non_edges):
-        mine = pair_orbits(g, subset)
-        assert sorted(p for o in mine for p in o) == subset
-        expected = {o for o in brute if o <= set(subset)}
-        assert {frozenset(o) for o in mine} == expected, g.adj
+    _assert_orbits_match_brute(g, pairs, [list(range(g.n))])
 
 
 def test_pair_orbits_match_permutation_orbits_up_to_five_vertices():
@@ -216,6 +222,23 @@ def test_pair_orbits_match_permutation_orbits_on_six_to_eight_vertices():
     ]
     for g in special + sample:
         _assert_pair_orbits_match_brute(g)
+
+
+def test_subset_orbits_match_permutation_orbits_under_the_sweep_cells():
+    # k = 3 and k = 7 on 8-vertex hosts, under the unit partition and under
+    # the apex sweep's [universe, rest] split; the first hosts have the
+    # lemma-compk7 shape, a graph plus a dominating vertex outside the universe
+    rng = random.Random(17)
+    hosts = [attach_vertex(g, range(7)) for g in
+             (complete_multipartite(1, 2, 2, 2), double_axle_wheel(5))]
+    hosts += [complete_multipartite(2, 2, 2, 2),
+              complement(make_graph(8, [(i, (i + 1) % 8) for i in range(8)]))]
+    hosts += [random_graph_for_tests(8, rng, p=rng.uniform(0.3, 0.7)) for _ in range(2)]
+    for g in hosts:
+        vertices = list(range(g.n))
+        for cells in ([vertices], [vertices[:-1], vertices[-1:]]):
+            for k in (3, 7):
+                _assert_orbits_match_brute(g, list(itertools.combinations(vertices, k)), cells)
 
 
 def _generated_group(gens, n):

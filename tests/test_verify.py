@@ -95,6 +95,15 @@ def test_run_check_unknown_id():
     assert len(CHECK_IDS) == 13
 
 
+def test_run_check_refuses_parameters_the_check_does_not_read():
+    # the corpus count and the sample sizes are fixed, not parameters
+    for check_id, params in (("list22-r7", {"expected": 23}),
+                             ("coloring-bound", {"n_max": 10}),
+                             ("density-premise", {"n_max": 10})):
+        with pytest.raises(ValueError, match="does not take"):
+            next(run_check(check_id, **params))
+
+
 def test_check_wheels():
     lines = list(run_check("wheels-r6"))
     assert summarize(lines)["failures"] == 0
@@ -170,10 +179,12 @@ def test_check_compk8_n9_reports_known_failure():
 
 
 def test_swept_check_records_carry_their_elapsed_time(monkeypatch):
-    # the 7-vertex corpus graph (about 60 ms); each record times its own sweep
+    # a 9-vertex corpus graph whose sweep takes about 60 ms, so that its
+    # record cannot round down to 0 ms; each record times its own sweep
     import triminor.verify as verify
 
-    g = next(g for g in load_corpus() if g.n == 7)
+    g = parse_graph6("HBnfNv{")
+    assert canonical_cert(g) in {canonical_cert(h) for h in load_corpus()}
     monkeypatch.setattr(verify, "load_corpus", lambda: [g])
     record, summary = run_check("lemma-compk7")
     assert record.verdict == "pass" and summary.verdict == "pass"
