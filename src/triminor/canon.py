@@ -2,12 +2,14 @@
 
 The certificate is the lexicographically minimal row-major upper triangle
 over all vertex orderings compatible with iterated neighbourhood
-refinement: refine an ordered partition to stability, branch on every
-vertex of the first non-singleton cell, and keep the minimal leaf.  The
+refinement: refine an ordered partition to stability, branch on the
+vertices of the first non-singleton cell, and keep the minimal leaf.  The
 minimum ranges over a full coset of the automorphism group, so equal
-certificates are exactly isomorphic graphs.  Graphs stay tiny here (the
-hot paths are at most 16 vertices), which keeps full branching affordable
-and auditable.
+certificates are exactly isomorphic graphs.  The search prunes only
+subtrees that an automorphism it has already met maps onto searched ones,
+so it still meets that whole coset up to those automorphisms, and the ones
+it met generate the group.  Graphs stay tiny here (the hot paths are at
+most 16 vertices), which keeps the search affordable and auditable.
 """
 
 from __future__ import annotations
@@ -100,14 +102,24 @@ def _min_key(
     the splitter, since counts into every other cell, and into the rest of
     v's old cell, are already constant on each cell.
 
-    When `autos` is a list, permutations generating the automorphisms of g
-    that preserve the initial cells are appended to it: the map from the
-    best leaf to each later leaf with an equal key, and the transposition
-    of each twin skipped by twin pruning with the twin that was kept.
-    Together they generate the group, because the minimal leaves form one
-    coset of it and every pruned subtree is a twin transposition's image of
-    a searched one.  A search that stops at `bound` may not have met every
-    minimal leaf, so give `bound` only without `autos`.
+    The search records the automorphisms it meets: the map from the best
+    leaf to each later leaf with an equal key, and the transposition of
+    each twin skipped by twin pruning with the twin that was kept.  It
+    prunes by them (McKay & Piperno, "Practical graph isomorphism, II",
+    2014).  A branch on v is skipped when a recorded automorphism that
+    fixes every vertex individualised above the node maps v onto a sibling
+    already searched; and a leaf that meets an automorphism returns the
+    search to the deepest node whose individualised vertices it fixes,
+    since the automorphism maps a searched sibling's subtree onto the one
+    being searched.  Either way the skipped subtree is the image of a
+    searched one with the same leaf keys, so neither the minimal key nor
+    the first leaf at or below `bound` changes.  When `autos` is a list,
+    the recorded permutations are appended to it; they generate the
+    automorphisms of g that preserve the initial cells, because the
+    minimal leaves form one coset of that group and every skipped subtree
+    is a recorded automorphism's image of a searched one.  A search that
+    stops at `bound` may not have met every minimal leaf, so give `bound`
+    only without `autos`.
     """
     nbits = comb(g.n, 2)
     if g.edge_count in (0, nbits):
@@ -117,11 +129,17 @@ def _min_key(
                 autos.extend(_transposition(g.n, a, b) for a, b in zip(cell, cell[1:]))
         return 0 if g.edge_count == 0 else (1 << nbits) - 1
     adj = g.adj
+    everyone = (1 << g.n) - 1
     best: int | None = None
     best_lab: list[int] = []
+    # each automorphism met so far, with the mask of the vertices it fixes
+    found: list[tuple[list[int], int]] = []
+    # the fixed-point mask of the automorphism a leaf just met, until the
+    # search is back at the deepest node whose individualised vertices it fixes
+    jump: int | None = None
 
-    def rec(cells: list[list[int]]) -> None:
-        nonlocal best, best_lab
+    def rec(cells: list[list[int]], path: int) -> None:
+        nonlocal best, best_lab, jump
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 break
@@ -130,37 +148,50 @@ def _min_key(
             key = _triangle_key(adj, lab)
             if best is None or key < best:
                 best, best_lab = key, lab
-            elif key == best and autos is not None:
+            elif key == best:
                 perm = [0] * g.n
+                fixed = 0
                 for a, b in zip(best_lab, lab):
                     perm[a] = b
-                autos.append(perm)
+                    if a == b:
+                        fixed |= 1 << a
+                found.append((perm, fixed))
+                jump = fixed
             return
         rest = cells[idx]
         tail = cells[idx + 1:]
         head = cells[:idx]
         # twins are exchanged by an automorphism (equal open neighbourhoods,
         # or equal closed neighbourhoods when adjacent), so one branch per
-        # twin class still reaches every minimal leaf
+        # twin class meets every leaf key
         seen_open: dict[int, int] = {}
         seen_closed: dict[int, int] = {}
+        searched = 0
         for v in rest:
             open_sig = adj[v]
             closed_sig = adj[v] | 1 << v
             kept = seen_open.get(open_sig, seen_closed.get(closed_sig))
             if kept is not None:
-                if autos is not None:
-                    autos.append(_transposition(g.n, v, kept))
+                found.append((_transposition(g.n, v, kept), everyone ^ (1 << v | 1 << kept)))
+                continue
+            if any(searched >> perm[v] & 1 for perm, fixed in found if fixed & path == path):
                 continue
             seen_open[open_sig] = v
             seen_closed[closed_sig] = v
             other = [w for w in rest if w != v]
-            rec(_refine(adj, head + [[v], other] + tail, [[v]]))
+            rec(_refine(adj, head + [[v], other] + tail, [[v]]), path | 1 << v)
+            if jump is not None:
+                if jump & path != path:
+                    return
+                jump = None
+            searched |= 1 << v
             if best <= bound:
                 return
 
-    rec(_refine(adj, cells))
+    rec(_refine(adj, cells), 0)
     assert best is not None
+    if autos is not None:
+        autos.extend(perm for perm, _ in found)
     return best
 
 
@@ -214,14 +245,16 @@ def pair_cert_below(g: Graph, u: int, v: int, cert: bytes) -> bool:
 
 
 def automorphisms(g: Graph, cells: list[list[int]]) -> list[tuple[int, ...]]:
-    """Distinct permutations generating the automorphisms of g that map
-    every cell onto itself, from one canonical search.
+    """A small set of distinct permutations generating the automorphisms of
+    g that map every cell onto itself: those one pruned canonical search
+    meets (see `_min_key`), at most one per skipped branch or returning
+    leaf.
 
     `cells` partitions V(g) into non-empty lists; perm[v] is the image of v.
     """
     autos: list[list[int]] = []
     _min_key(g, cells, autos)
-    # searches often reach one automorphism along several leaves
+    # twin pruning can meet one transposition at several nodes
     return list(dict.fromkeys(map(tuple, autos)))
 
 
@@ -229,6 +262,11 @@ def orbit(mask: int, gens: list[tuple[int, ...]]) -> set[int]:
     """The orbit of the vertex subset `mask` (a bitmask) under the group that
     the permutations `gens` generate, as bitmasks; perm[v] is the image of
     v, as `automorphisms` returns them."""
+    if gens and 2 * mask.bit_count() > len(gens[0]):
+        # each permutation maps the complement onto the image's complement,
+        # and the complement has fewer vertices to map
+        everyone = (1 << len(gens[0])) - 1
+        return {everyone ^ s for s in orbit(everyone ^ mask, gens)}
     seen = {mask}
     todo = [mask]
     while todo:

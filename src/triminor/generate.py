@@ -11,10 +11,14 @@ The filters run cheapest first, which changes no output (McKay,
 off the parent, so a capped augmentation is never built; the invariant part
 of that test runs on every other augmentation from the parent's own
 invariants and hands the edges that tie on it to the rest of the test; the
-parent's automorphism search runs only on the augmentations it keeps; and a
-tie that the cell key leaves gets a pair search that stops at the first
-leaf at or below the added edge's certificate.  The parent's orbits are
-walked by `canon.orbit`, the one orbit walk the apex sweeps use too.
+parent's automorphism search runs only on the augmentations it keeps; and
+a child with a tie that the cell key leaves gets one search of its own
+automorphism group, which settles every tie in the added edge's orbit and
+leaves a pair search, stopping at the first leaf at or below the added
+edge's certificate, only for the others.  The child keeps those generators
+for the next level, where, as a parent, it needs no search of its own.
+Orbits are walked by `canon.orbit`, the one orbit walk the apex sweeps use
+too.
 Hereditary pruning cuts whole subtrees: a predicate that can never be
 repaired by further edge additions (degree caps, edge caps, forbidden clique
 minors) rejects a graph together with all its supergraphs.
@@ -139,10 +143,14 @@ def _invariant_survivors(
     return survivors
 
 
-def _orbit_reps(g: Graph, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+def _orbit_reps(
+    g: Graph, pairs: list[tuple[int, int]], gens: list[tuple[int, ...]] | None
+) -> list[tuple[int, int]]:
     """The first pair of each automorphism orbit of the given vertex pairs.
-    The pairs come in lexicographic order, so that is each orbit's least."""
-    gens = automorphisms(g, [list(range(g.n))])
+    The pairs come in lexicographic order, so that is each orbit's least.
+    `gens` generates the automorphism group of g, or is None to search it."""
+    if gens is None:
+        gens = automorphisms(g, [list(range(g.n))])
     seen: set[int] = set()
     reps = []
     for u, v in pairs:
@@ -154,7 +162,10 @@ def _orbit_reps(g: Graph, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]
 
 
 def _is_canonical_child(
-    g: Graph, added: tuple[int, int], ties: list[tuple[int, int]]
+    g: Graph,
+    added: tuple[int, int],
+    ties: list[tuple[int, int]],
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]],
 ) -> bool:
     """Accept g iff the added edge lies in the canonical deletion orbit,
     given that no edge of g has a smaller invariant than the added one and
@@ -164,9 +175,13 @@ def _is_canonical_child(
     certificate), an isomorphism-invariant key, so exactly one augmentation
     orbit leading to each child class is ever accepted.  The cell key of an
     edge is the sorted pair of its ends' `cell_positions`, computed only
-    when another edge ties the added one on the invariant; the added edge's
-    pair certificate only when a tie also shares its cell key; and each of
-    those ties gets a search that stops at the first leaf at or below it.
+    when another edge ties the added one on the invariant.  When a tie also
+    shares the added edge's cell key, one search of g's automorphism group
+    starts from those refined cells: the ties in the added edge's orbit
+    share its pair certificate, so only the others are compared with it,
+    each by a search that stops at the first leaf at or below it.  An
+    accepted g leaves its generators in `groups` under `g.adj`, for the
+    step where g becomes a parent.
     """
     if not ties:
         return True
@@ -181,8 +196,18 @@ def _is_canonical_child(
             same.append((u, v))
     if not same:
         return True
-    cert_added = pair_cert(g, *added)
-    return not any(pair_cert_below(g, u, v, cert_added) for u, v in same)
+    cells: list[list[int]] = [[] for _ in range(max(pos) + 1)]
+    for v, i in enumerate(pos):
+        cells[i].append(v)
+    gens = automorphisms(g, cells)
+    in_orbit = orbit(1 << added[0] | 1 << added[1], gens)
+    rest = [(u, v) for u, v in same if 1 << u | 1 << v not in in_orbit]
+    if rest:
+        cert_added = pair_cert(g, *added)
+        if any(pair_cert_below(g, u, v, cert_added) for u, v in rest):
+            return False
+    groups[g.adj] = gens
+    return True
 
 
 def _with_edge(g: Graph, u: int, v: int) -> Graph:
@@ -216,8 +241,12 @@ def orderly_stream(
     do, and `canon.orbit` walks its generators over the surviving pairs'
     masks; the least pair of each orbit then meets the rest of the canonical
     test (`_is_canonical_child`) against the tied edges the invariant test
-    found: the refined-cell key, then bounded pair certificates.
-    `keep_after` is asked only once that accepts it.
+    found: the refined-cell key, then the child's automorphism group, then
+    bounded pair certificates for the ties outside the added edge's orbit.
+    `keep_after` is asked only once that accepts it.  The generators of a
+    child whose test searched its group are kept, by adjacency, until the
+    next level has been built, and `_orbit_reps` uses them in place of its
+    own search when that child is a parent.
     The caps and the invariant test are isomorphism-invariant, so what
     survives them is a union of orbits, and its orbit reps are those of all
     the non-edges that survive, in the same order: the order of the filters
@@ -229,8 +258,11 @@ def orderly_stream(
         return
     level = [empty]
     yield empty
+    # the generators of the level's graphs that the canonical test searched
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     while level and (max_edges is None or level[0].edge_count < max_edges):
         nxt: list[Graph] = []
+        nxt_groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for parent in level:
             open_ends = (1 << n) - 1
             if max_degree is not None:
@@ -243,12 +275,14 @@ def orderly_stream(
             ]
             survivors = _invariant_survivors(parent, non_edges)
             reps = list(survivors)
-            for u, v in reps if len(reps) < 2 else _orbit_reps(parent, reps):
+            if len(reps) > 1:
+                reps = _orbit_reps(parent, reps, groups.get(parent.adj))
+            for u, v in reps:
                 child = _with_edge(parent, u, v)
-                if (_is_canonical_child(child, (u, v), survivors[u, v])
+                if (_is_canonical_child(child, (u, v), survivors[u, v], nxt_groups)
                         and keep_after(child)):
                     nxt.append(child)
-        level = nxt
+        level, groups = nxt, nxt_groups
         yield from level
 
 

@@ -181,13 +181,6 @@ def k_tree(k: int, n: int, seed: int) -> Graph:
 # Triangles
 
 
-def triangles_on_edge(g: Graph, u: int, v: int) -> int:
-    """Number of triangles through the edge uv, i.e. |N(u) & N(v)|."""
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-    return (g.adj[u] & g.adj[v]).bit_count()
-
-
 def total_triangles(g: Graph) -> int:
     acc = 0
     for u, v in g.edges():

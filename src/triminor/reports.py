@@ -50,12 +50,3 @@ def emit_report(lines: Iterable[ReportLine], stream: IO[str], timing: bool = Fal
         failed += line.verdict == "fail"
     return failed
 
-
-def summarize(lines: Iterable[ReportLine]) -> dict:
-    """Order-independent tally of verdicts per check id."""
-    per_check: dict[str, dict[str, int]] = {}
-    for line in lines:
-        slot = per_check.setdefault(line.check, {"pass": 0, "fail": 0, "witness": 0})
-        slot[line.verdict] += 1
-    total_fail = sum(s["fail"] for s in per_check.values())
-    return {"checks": dict(sorted(per_check.items())), "failures": total_fail}

@@ -40,7 +40,6 @@ from triminor.minors import (
     kr_minor_verdict,
     validate_minor_witness,
 )
-from triminor.reports import summarize
 from triminor.rigidity import stress_space_dim, whiteley_reduce
 from triminor.verify import (
     load_corpus,
@@ -145,7 +144,7 @@ def test_criterion_02_wheels():
 
 def test_criterion_03_apex_augmentation():
     lines = list(run_check("lemma-compk7"))
-    failures = summarize(lines)["failures"]
+    failures = sum(line.verdict == "fail" for line in lines)
     ok = failures == 0
     _report(3, ok, f"apex sweeps over {len(load_corpus())} corpus graphs, "
                    f"failures={failures}")
@@ -154,7 +153,7 @@ def test_criterion_03_apex_augmentation():
 
 def test_criterion_04_unique_special_vertex():
     lines = list(run_check("lemma-numberk7"))
-    failures = summarize(lines)["failures"]
+    failures = sum(line.verdict == "fail" for line in lines)
     ok = failures == 0
     _report(4, ok, f"<=1 vertex with all incident edges in >=4 triangles, "
                    f"failures={failures}")
@@ -171,7 +170,7 @@ def test_criterion_05_p10_induced_subgraphs():
 
 def test_criterion_06_p10_edge_additions():
     lines = list(run_check("claim-2edgeP10"))
-    failures = summarize(lines)["failures"]
+    failures = sum(line.verdict == "fail" for line in lines)
     counts = lines[-1].witness
     ok = failures == 0 and counts["pairs"] > 0 and counts["triples"] == 445
     _report(6, ok, f"edge additions in the Petersen complement: {counts}, "
@@ -310,7 +309,7 @@ def test_criterion_10_rigidity():
 
 def test_criterion_11_coloring_bounds():
     lines = list(run_check("coloring-bound", samples=1000, seed=11))
-    failures = summarize(lines)["failures"]
+    failures = sum(line.verdict == "fail" for line in lines)
     ok = failures == 0
     _report(11, ok, f"chromatic bounds on 1000 sampled graphs per class, "
                     f"failures={failures}")

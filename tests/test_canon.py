@@ -27,6 +27,7 @@ from triminor.canon import (
     pair_cert,
     pair_cert_below,
 )
+from triminor.graph6 import parse_graph6
 from triminor.graphs import (
     complement,
     complete,
@@ -254,32 +255,48 @@ def _generated_group(gens, n):
     return group
 
 
+def _cell_stabiliser_brute(g, cells):
+    """Every automorphism of g that keeps each cell, by trying every
+    permutation inside the cells."""
+    group = set()
+    for images in itertools.product(*(itertools.permutations(cell) for cell in cells)):
+        perm = [0] * g.n
+        for cell, image in zip(cells, images):
+            for v, w in zip(cell, image):
+                perm[v] = w
+        if all(g.has_edge(perm[u], perm[v]) for u, v in g.edges()):
+            group.add(tuple(perm))
+    return group
+
+
 def test_automorphisms_generate_the_cell_stabiliser():
     # the generators must give exactly the automorphisms that keep each
     # cell, found by trying every permutation; the splits include the
-    # lemma-compk7 shape, a dominating vertex outside the first cell
+    # lemma-compk7 shape, a dominating vertex outside the first cell; the
+    # max-degree-2 hosts (a perfect matching, C8, 2C4 and P3+P3+P2) have
+    # large groups, where the search prunes the most branches
     rng = random.Random(11)
     hosts = [complete_multipartite(1, 2, 2, 2), complete(6), make_graph(6, []),
              double_axle_wheel(4)]
     hosts += [random_graph_for_tests(rng.randint(4, 7), rng, p=rng.uniform(0.2, 0.8))
               for _ in range(12)]
+    hosts += [make_graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+              make_graph(8, [(i, (i + 1) % 8) for i in range(8)]),
+              make_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]),
+              make_graph(8, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7)])]
     for g in hosts:
         vertices = list(range(g.n))
         for cells in ([vertices], [vertices[1:], vertices[:1]],
                       [vertices[:-1], vertices[-1:]], [vertices[::2], vertices[1::2]]):
-            brute = {
-                perm for perm in itertools.permutations(vertices)
-                if all(perm[v] in cell for cell in cells for v in cell)
-                and all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())
-            }
-            assert _generated_group(automorphisms(g, cells), g.n) == brute, (g.adj, cells)
+            assert (_generated_group(automorphisms(g, cells), g.n)
+                    == _cell_stabiliser_brute(g, cells)), (g.adj, cells)
 
 
 def test_automorphisms_are_distinct_on_the_compk7_hosts():
     # the lemma-compk7 hosts: a corpus graph plus a dominating vertex, with
-    # the apex candidates as one cell; the search reaches one generator
-    # along several leaves, and each must come back once
-    repeated = 0
+    # the apex candidates as one cell; twin pruning can meet a transposition
+    # at several nodes, and each generator must come back once; the pruned
+    # search meets at most n - 1 of them on an n-vertex host
     for g in load_corpus():
         host = attach_vertex(g, range(g.n))
         cells = [list(range(g.n)), [g.n]]
@@ -288,10 +305,27 @@ def test_automorphisms_are_distinct_on_the_compk7_hosts():
         raw: list[list[int]] = []
         _min_key(host, cells, raw)
         assert set(gens) == set(map(tuple, raw))
-        repeated += len(raw) > len(gens)
+        assert len(gens) <= host.n - 1, g.adj
         if g.n <= 8:
             _assert_pair_orbits_match_brute(g)
-    assert repeated >= 7
+
+
+def test_cert_is_relabelling_invariant_where_pruning_must_fix_the_path():
+    # 4-regular graphs on 14 vertices where, at some search node, two
+    # vertices share a cell though no automorphism fixing the vertices
+    # individualised above it maps one onto the other; an automorphism met
+    # earlier that moves those vertices must not prune there, or the
+    # search misses the minimal leaf and the certificate follows the labels
+    rng = random.Random(19)
+    for g6 in ("M_gsACMx?bH@K@Co_", "MSUAi?c?wQ?ly?KE?", "MDALAOo`qEKDQGF?_",
+               "MB?OWehwCGHQJAoQ?"):
+        g = parse_graph6(g6)
+        certs = {canonical_cert(g)}
+        for _ in range(5):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            certs.add(canonical_cert(_relabel(g, perm)))
+        assert len(certs) == 1, g6
 
 
 def test_cert_first_byte_is_vertex_count():

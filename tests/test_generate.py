@@ -177,7 +177,7 @@ def test_orbit_reps_match_pair_cert_grouping():
         non_edges = [
             (u, v) for u in range(6) for v in range(u + 1, 6) if not g.has_edge(u, v)
         ]
-        assert _orbit_reps(g, non_edges) == _orbit_reps_by_pair_cert(g, non_edges)
+        assert _orbit_reps(g, non_edges, None) == _orbit_reps_by_pair_cert(g, non_edges)
 
 
 def _is_canonical_child_by_min(g, added):
@@ -194,22 +194,35 @@ def _is_canonical_child_by_min(g, added):
 
 def test_canonical_child_test_matches_reference_on_every_child():
     # every augmentation of the 6- and 7-vertex classes (156 and 1,044
-    # parents); the 6-vertex ones alone still pass when the ties lose
-    # either the parent edges away from the added edge or those at its ends
-    for n, expected in ((6, 1170), (7, 10962)):
-        accepted = checked = 0
-        for parent in orderly_stream(n):
+    # parents) and of the 70 max-degree-2 classes on 9 vertices; the
+    # 6-vertex ones alone still pass when the ties lose either the parent
+    # edges away from the added edge or those at its ends; only the 9-vertex
+    # ones have a tie with the added edge's cell key outside its orbit (in
+    # C4 + C5, every edge has one cell key), which the group search alone
+    # cannot settle; an accepted child's generators, kept for it as a
+    # parent, give the orbit reps its own search gives
+    for n, max_degree, expected in ((6, None, 1170), (7, None, 10962), (9, 2, 2106)):
+        accepted = checked = kept = 0
+        for parent in orderly_stream(n, max_degree=max_degree):
             for u in range(n):
                 for v in range(u + 1, n):
                     if parent.has_edge(u, v):
                         continue
                     child = _with_edge(parent, u, v)
                     ties = _invariant_survivors(parent, [(u, v)]).get((u, v))
-                    mine = ties is not None and _is_canonical_child(child, (u, v), ties)
+                    groups = {}
+                    mine = ties is not None and _is_canonical_child(child, (u, v), ties, groups)
                     assert mine == _is_canonical_child_by_min(child, (u, v)), (child.adj, u, v)
+                    if groups:
+                        assert mine and list(groups) == [child.adj]
+                        non_edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+                                     if not child.has_edge(a, b)]
+                        assert (_orbit_reps(child, non_edges, groups[child.adj])
+                                == _orbit_reps(child, non_edges, None)), child.adj
+                        kept += 1
                     accepted += mine
                     checked += 1
-        assert checked == expected and 0 < accepted < checked
+        assert checked == expected and 0 < kept < accepted < checked
 
 
 def _survivors_by_full_scan(parent, non_edges):
@@ -254,8 +267,8 @@ def test_invariant_prefilter_matches_full_scan():
         # the same survivors in the same order, each with the same ties
         assert list(survivors.items()) == list(
             _survivors_by_full_scan(parent, non_edges).items()), parent.adj
-        reps = _orbit_reps(parent, non_edges)
-        assert _orbit_reps(parent, list(survivors)) == [r for r in reps if r in survivors]
+        reps = _orbit_reps(parent, non_edges, None)
+        assert _orbit_reps(parent, list(survivors), None) == [r for r in reps if r in survivors]
         kept += len(survivors)
         dropped += len(non_edges) - len(survivors)
         tied += sum(1 for ties in survivors.values() if ties)
@@ -300,17 +313,20 @@ def test_edge_cap_gives_the_level_at_the_cap_no_children(monkeypatch):
     assert {parent.edge_count for parent, _ in scans} == {0, 1, 2, 3, 4}
 
 
-@pytest.mark.parametrize("spec, searches, refined, pair_certs, bounded", [
-    pytest.param(GenSpec(9, min_degree=5), 454, 813, 469, 761, id="n9-mindeg5"),
-    pytest.param(GenSpec(9, min_degree=6, prune="K7"), 36, 56, 52, 128, id="n9-mindeg6-K7"),
+@pytest.mark.parametrize("spec, searches, reused, refined, pair_certs, bounded", [
+    pytest.param(GenSpec(9, min_degree=5), 740, 183, 813, 13, 34, id="n9-mindeg5"),
+    pytest.param(GenSpec(9, min_degree=6, prune="K7"), 65, 23, 56, 2, 5, id="n9-mindeg6-K7"),
 ])
 def test_parent_automorphism_search_only_on_invariant_survivors(
-    monkeypatch, spec, searches, refined, pair_certs, bounded
+    monkeypatch, spec, searches, reused, refined, pair_certs, bounded
 ):
     # one search per parent would be 1,165 and 70 here; the children that
-    # tie on the invariant are refined once each, and the cell key leaves
-    # 469 + 761 and 52 + 128 pair searches of the 2,203 and 197 full pair
-    # certificates that the invariant ties alone would ask for
+    # tie on the invariant are refined once each; the 469 and 52 children
+    # with a tie left by the cell key get one group search each, whose
+    # generators 183 and 23 parents reuse, so 271 and 13 parents search
+    # their own; the ties outside the added edge's orbit leave 13 + 34 and
+    # 2 + 5 pair searches of the 2,203 and 197 full pair certificates that
+    # the invariant ties alone would ask for
     calls = {"automorphisms": 0, "cell_positions": 0, "pair_cert": 0, "pair_cert_below": 0}
 
     def counted(name):
@@ -323,9 +339,18 @@ def test_parent_automorphism_search_only_on_invariant_survivors(
 
     for name in calls:
         monkeypatch.setattr(gen_module, name, counted(name))
+    given = []
+    orbit_reps = gen_module._orbit_reps
+
+    def watched(g, pairs, gens):
+        given.append(gens is not None)
+        return orbit_reps(g, pairs, gens)
+
+    monkeypatch.setattr(gen_module, "_orbit_reps", watched)
     sum(1 for _ in generate(spec))
     assert calls == {"automorphisms": searches, "cell_positions": refined,
                      "pair_cert": pair_certs, "pair_cert_below": bounded}
+    assert sum(given) == reused
 
 
 # sha256 of the `triminor gen` streams, the graph6 lines in stream order,

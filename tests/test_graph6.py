@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import graph_from_code, random_graph_for_tests
 from triminor.graph6 import parse_graph6, read_corpus, write_graph6
 from triminor.graphs import complete, make_graph
-from triminor.reports import ReportLine, emit_report, summarize
+from triminor.reports import ReportLine, emit_report
 from triminor.verify import CORPUS_RESOURCE, load_corpus
 
 
@@ -150,14 +150,3 @@ def test_report_emission_and_determinism():
     emit_report(lines, timed, timing=True)
     assert '"millis": 17' in timed.getvalue()
 
-
-def test_summary_is_order_independent():
-    rng = random.Random(13)
-    lines = [
-        ReportLine("c1", str(i), rng.choice(["pass", "witness"])) for i in range(20)
-    ] + [ReportLine("c2", "z", "fail", {"w": 0})]
-    base = summarize(lines)
-    for _ in range(5):
-        rng.shuffle(lines)
-        assert summarize(lines) == base
-    assert base["failures"] == 1

@@ -17,7 +17,6 @@ from triminor.graphs import (
     petersen,
     petersen_complement,
     total_triangles,
-    triangles_on_edge,
     validate,
 )
 
@@ -56,7 +55,7 @@ def test_named_graph_catalog():
     assert complete(5).edge_count == 10
     k22222 = complete_multipartite(2, 2, 2, 2, 2)
     assert (k22222.n, k22222.edge_count) == (10, 40)
-    assert all(triangles_on_edge(k22222, u, v) == 6 for u, v in k22222.edges())
+    assert {t for _, t in min_triangle_edge(k22222).counts} == {6}
     assert petersen().edge_count == 15
     assert petersen_complement().edge_count == 30
 
@@ -89,35 +88,31 @@ def test_k_tree_formula_all_k():
             assert 2 * total_triangles(g) == (k - 1) * g.edge_count - comb(k + 1, 3)
 
 
+def _triangles_on_edges(g):
+    """The number of triangles through each edge, from `min_triangle_edge`
+    without a degree cap."""
+    return dict(min_triangle_edge(g).counts) if g.edge_count else {}
+
+
 def test_triangles_on_edge_examples():
-    k4 = complete(4)
-    assert triangles_on_edge(k4, 0, 1) == 2
-    k2222 = complete_multipartite(2, 2, 2, 2)
-    for u, v in k2222.edges():
-        assert triangles_on_edge(k2222, u, v) == 4
-    pc = petersen_complement()
-    for u, v in pc.edges():
-        assert triangles_on_edge(pc, u, v) == 3
+    assert _triangles_on_edges(complete(4))[0, 1] == 2
+    assert set(_triangles_on_edges(complete_multipartite(2, 2, 2, 2)).values()) == {4}
+    assert set(_triangles_on_edges(petersen_complement()).values()) == {3}
 
 
 def test_triangles_on_edge_matches_triple_enumeration():
     rng = random.Random(1)
     for _ in range(40):
         g = random_graph_for_tests(rng.randint(2, 12), rng)
-        for u, v in g.edges():
-            assert triangles_on_edge(g, u, v) == triangles_on_edge_brute(g, u, v)
-
-
-def test_triangles_on_edge_requires_edge():
-    with pytest.raises(ValueError):
-        triangles_on_edge(petersen(), 0, 2)
+        assert _triangles_on_edges(g) == {
+            (u, v): triangles_on_edge_brute(g, u, v) for u, v in g.edges()}
 
 
 def test_edge_triangle_sum_is_three_times_total():
     rng = random.Random(2)
     for _ in range(30):
         g = random_graph_for_tests(rng.randint(3, 12), rng)
-        per_edge = sum(triangles_on_edge(g, u, v) for u, v in g.edges())
+        per_edge = sum(_triangles_on_edges(g).values())
         assert per_edge == 3 * total_triangles(g)
         assert total_triangles(g) == total_triangles_brute(g)
 
