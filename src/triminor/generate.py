@@ -102,7 +102,11 @@ def _invariant_survivors(
     ranked = []
     for x, row in enumerate(adj):
         dx = deg[x]
-        for w in bits(row >> x + 1 << x + 1):
+        m = row >> x + 1 << x + 1
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
             dw = deg[w]
             key = dx << 14 | dw << 7 if dx <= dw else dw << 14 | dx << 7
             ranked.append((key | (row & adj[w]).bit_count(), 1 << x | 1 << w))
@@ -118,12 +122,18 @@ def _invariant_survivors(
             if not mask & ends:
                 smaller = key < added
                 break
+        if smaller:
+            continue
         ties = []
         for x, y, dx in ((u, v, du), (v, u, dv)):
             if smaller:
                 break
             row = adj[x] | 1 << y
-            for w in bits(adj[x]):
+            m = adj[x]
+            while m:
+                low = m & -m
+                m ^= low
+                w = low.bit_length() - 1
                 dw = deg[w]
                 key = dx << 14 | dw << 7 if dx <= dw else dw << 14 | dx << 7
                 key |= (row & adj[w]).bit_count()
@@ -199,7 +209,7 @@ def _is_canonical_child(
     cells: list[list[int]] = [[] for _ in range(max(pos) + 1)]
     for v, i in enumerate(pos):
         cells[i].append(v)
-    gens = automorphisms(g, cells)
+    gens = automorphisms(g, cells, refined=True)
     in_orbit = orbit(1 << added[0] | 1 << added[1], gens)
     rest = [(u, v) for u, v in same if 1 << u | 1 << v not in in_orbit]
     if rest:

@@ -18,6 +18,7 @@ from triminor import canon
 from triminor.canon import (
     _min_key,
     _refine,
+    _search,
     _triangle_key,
     automorphisms,
     canonical_cert,
@@ -27,6 +28,7 @@ from triminor.canon import (
     pair_cert,
     pair_cert_below,
 )
+from triminor.generate import orderly_stream
 from triminor.graph6 import parse_graph6
 from triminor.graphs import (
     complement,
@@ -164,7 +166,7 @@ def test_bounded_search_stops_at_the_first_leaf_at_or_below_the_bound(monkeypatc
         # any leaf ends a search bounded by the largest key
         leaves.clear()
         assert least <= _min_key(g, cells, bound=(1 << comb(g.n, 2)) - 1)
-        assert len(leaves) in (0, 1)  # no leaf when g is empty or complete
+        assert len(leaves) == 1  # one twin-class leaf when g is empty or complete
         stopped_early += searched > 1
     assert stopped_early > 10
 
@@ -203,9 +205,9 @@ def test_pair_orbits_match_permutation_orbits_up_to_five_vertices():
             _assert_pair_orbits_match_brute(g)
 
 
-def test_pair_orbits_match_permutation_orbits_on_six_to_eight_vertices():
-    # edgeless and complete graphs skip the search; the multipartite ones
-    # are all twins, the wheel and the star mix twins with a lone centre
+def _six_to_eight_vertex_hosts():
+    # edgeless and complete graphs are one twin class; the multipartite
+    # ones are all twins, the wheel and the star mix twins with a lone centre
     special = [
         make_graph(7, []),
         complete(8),
@@ -221,8 +223,31 @@ def test_pair_orbits_match_permutation_orbits_on_six_to_eight_vertices():
         random_graph_for_tests(rng.randint(6, 8), rng, p=rng.uniform(0.2, 0.8))
         for _ in range(24)
     ]
-    for g in special + sample:
+    return special + sample
+
+
+def test_pair_orbits_match_permutation_orbits_on_six_to_eight_vertices():
+    for g in _six_to_eight_vertex_hosts():
         _assert_pair_orbits_match_brute(g)
+
+
+def test_two_vertex_orbit_walk_matches_the_general_walk():
+    # orbit maps a two-vertex mask's two ends directly; on every pair mask
+    # the general walk must give the same orbit (the test above checks it
+    # against every permutation); the 7-subsets of a 9-vertex host, as the
+    # double-apex sweep asks them, reach that path through the complement
+    for g in _six_to_eight_vertex_hosts():
+        gens = automorphisms(g, [list(range(g.n))])
+        for u, v in itertools.combinations(range(g.n), 2):
+            mask = 1 << u | 1 << v
+            assert canon._pair_orbit(mask, gens) == canon._subset_orbit(mask, gens), (g.adj, u, v)
+    c3_c6 = make_graph(9, [(0, 1), (1, 2), (2, 0)] + [(3 + i, 3 + (i + 1) % 6) for i in range(6)])
+    for g in (complement(c3_c6), parse_graph6("HK]uvN~")):
+        subsets = list(itertools.combinations(range(g.n), 7))
+        _assert_orbits_match_brute(g, subsets, [list(range(g.n))])
+        gens = automorphisms(g, [list(range(g.n))])
+        for subset in subsets:
+            assert orbit(_mask(subset), gens) == canon._subset_orbit(_mask(subset), gens)
 
 
 def test_subset_orbits_match_permutation_orbits_under_the_sweep_cells():
@@ -274,7 +299,12 @@ def test_automorphisms_generate_the_cell_stabiliser():
     # cell, found by trying every permutation; the splits include the
     # lemma-compk7 shape, a dominating vertex outside the first cell; the
     # max-degree-2 hosts (a perfect matching, C8, 2C4 and P3+P3+P2) have
-    # large groups, where the search prunes the most branches
+    # large groups, where the search prunes the most branches; isolated
+    # vertices, a perfect matching plus a star, K_{2,3} and the classes of
+    # maximum degree 3 on 6 vertices give roots and nodes whose cells are
+    # all twin classes, and first leaves above the deepest level, where
+    # the group search cuts by the first path's cell sizes; every generator
+    # must be an automorphism too
     rng = random.Random(11)
     hosts = [complete_multipartite(1, 2, 2, 2), complete(6), make_graph(6, []),
              double_axle_wheel(4)]
@@ -284,30 +314,50 @@ def test_automorphisms_generate_the_cell_stabiliser():
               make_graph(8, [(i, (i + 1) % 8) for i in range(8)]),
               make_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]),
               make_graph(8, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7)])]
+    hosts += [make_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4)]),
+              make_graph(6, [(1, 4), (4, 2)]),
+              make_graph(8, [(0, 1), (2, 3), (4, 5), (4, 6), (4, 7)]),
+              make_graph(8, [(0, 4), (2, 6), (1, 3), (1, 5), (1, 7)]),
+              complete_multipartite(2, 3)]
+    hosts += list(orderly_stream(6, max_degree=3))
+    # two graphs of maximum degree 3 on 8 vertices where the group search
+    # meets a leaf whose path has the first path's cell sizes at every
+    # depth, yet whose map from the first leaf is no automorphism
+    hosts += [parse_graph6("G{CGYG"), parse_graph6("G{CYPK")]
     for g in hosts:
         vertices = list(range(g.n))
         for cells in ([vertices], [vertices[1:], vertices[:1]],
                       [vertices[:-1], vertices[-1:]], [vertices[::2], vertices[1::2]]):
-            assert (_generated_group(automorphisms(g, cells), g.n)
-                    == _cell_stabiliser_brute(g, cells)), (g.adj, cells)
+            gens = automorphisms(g, cells)
+            for perm in gens:
+                assert all(g.has_edge(perm[u], perm[v]) for u, v in g.edges()), (g.adj, perm)
+            assert _generated_group(gens, g.n) == _cell_stabiliser_brute(g, cells), (g.adj, cells)
 
 
 def test_automorphisms_are_distinct_on_the_compk7_hosts():
     # the lemma-compk7 hosts: a corpus graph plus a dominating vertex, with
-    # the apex candidates as one cell; twin pruning can meet a transposition
-    # at several nodes, and each generator must come back once; the pruned
-    # search meets at most n - 1 of them on an n-vertex host
+    # the apex candidates as one cell; every permutation the group search
+    # meets comes back once, with no pass that drops repeats; it meets at
+    # most n - 1 of them on an n-vertex host; K_{3,3,3} and K_{2,2,2,2}
+    # have twins in every part, whose transpositions are recorded only
+    # when those already recorded do not join the two twins: n - 3 and
+    # n - 4 of them, and at most n - 1 generators in all
+    hosts = []
     for g in load_corpus():
-        host = attach_vertex(g, range(g.n))
-        cells = [list(range(g.n)), [g.n]]
-        gens = automorphisms(host, cells)
-        assert len(set(gens)) == len(gens), g.adj
-        raw: list[list[int]] = []
-        _min_key(host, cells, raw)
-        assert set(gens) == set(map(tuple, raw))
-        assert len(gens) <= host.n - 1, g.adj
+        hosts.append((attach_vertex(g, range(g.n)), [list(range(g.n)), [g.n]]))
         if g.n <= 8:
             _assert_pair_orbits_match_brute(g)
+    for g in (complete_multipartite(3, 3, 3), complete_multipartite(2, 2, 2, 2)):
+        hosts.append((g, [list(range(g.n))]))
+    for host, cells in hosts:
+        raw = _search(host.adj, _refine(host.adj, cells), True)[1]
+        assert len(set(map(tuple, raw))) == len(raw), host.adj
+        assert automorphisms(host, cells) == list(map(tuple, raw))
+        assert len(raw) <= host.n - 1, host.adj
+    for parts, twins in (((3, 3, 3), 6), ((2, 2, 2, 2), 4)):
+        gens = automorphisms(complete_multipartite(*parts), [list(range(sum(parts)))])
+        transpositions = [p for p in gens if sum(v != w for v, w in enumerate(p)) == 2]
+        assert len(transpositions) == twins, parts
 
 
 def test_cert_is_relabelling_invariant_where_pruning_must_fix_the_path():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import triminor.canon as canon
 import triminor.generate as gen_module
 from oracles import all_graphs_on, random_graph_for_tests
 from triminor.canon import canonical_cert, cell_positions, is_isomorphic, pair_cert
@@ -313,12 +314,13 @@ def test_edge_cap_gives_the_level_at_the_cap_no_children(monkeypatch):
     assert {parent.edge_count for parent, _ in scans} == {0, 1, 2, 3, 4}
 
 
-@pytest.mark.parametrize("spec, searches, reused, refined, pair_certs, bounded", [
-    pytest.param(GenSpec(9, min_degree=5), 740, 183, 813, 13, 34, id="n9-mindeg5"),
-    pytest.param(GenSpec(9, min_degree=6, prune="K7"), 65, 23, 56, 2, 5, id="n9-mindeg6-K7"),
+@pytest.mark.parametrize("spec, searches, reused, refined, pair_certs, bounded, nodes, keys", [
+    pytest.param(GenSpec(9, min_degree=5), 740, 183, 813, 13, 34, 2791, 94, id="n9-mindeg5"),
+    pytest.param(GenSpec(9, min_degree=6, prune="K7"), 65, 23, 56, 2, 5, 420, 24,
+                 id="n9-mindeg6-K7"),
 ])
 def test_parent_automorphism_search_only_on_invariant_survivors(
-    monkeypatch, spec, searches, reused, refined, pair_certs, bounded
+    monkeypatch, spec, searches, reused, refined, pair_certs, bounded, nodes, keys
 ):
     # one search per parent would be 1,165 and 70 here; the children that
     # tie on the invariant are refined once each; the 469 and 52 children
@@ -326,19 +328,26 @@ def test_parent_automorphism_search_only_on_invariant_survivors(
     # generators 183 and 23 parents reuse, so 271 and 13 parents search
     # their own; the ties outside the added edge's orbit leave 13 + 34 and
     # 2 + 5 pair searches of the 2,203 and 197 full pair certificates that
-    # the invariant ties alone would ask for
+    # the invariant ties alone would ask for; `_refine` runs once per
+    # `cell_positions` and per canon search node, 2,791 and 420 times
+    # (4,663 and 803 when the group search refined the child's cells again
+    # and ran the certificate search, which built 1,521 and 235 triangle
+    # keys), and only the pair searches build triangle keys
     calls = {"automorphisms": 0, "cell_positions": 0, "pair_cert": 0, "pair_cert_below": 0}
+    work = {"_refine": 0, "_triangle_key": 0}
 
-    def counted(name):
-        inner = getattr(gen_module, name)
+    def counted(module, tally, name):
+        inner = getattr(module, name)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
+        def wrapper(*args, **kwargs):
+            tally[name] += 1
+            return inner(*args, **kwargs)
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(gen_module, name, counted(name))
+        monkeypatch.setattr(gen_module, name, counted(gen_module, calls, name))
+    for name in work:
+        monkeypatch.setattr(canon, name, counted(canon, work, name))
     given = []
     orbit_reps = gen_module._orbit_reps
 
@@ -351,6 +360,7 @@ def test_parent_automorphism_search_only_on_invariant_survivors(
     assert calls == {"automorphisms": searches, "cell_positions": refined,
                      "pair_cert": pair_certs, "pair_cert_below": bounded}
     assert sum(given) == reused
+    assert work == {"_refine": nodes, "_triangle_key": keys}
 
 
 # sha256 of the `triminor gen` streams, the graph6 lines in stream order,
