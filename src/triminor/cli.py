@@ -101,6 +101,8 @@ def _cmd_gen(args) -> Iterator[ReportLine]:
     """Count, or write each graph6 line as it is generated, so an
     interrupted run keeps what it has written.  `--out` is opened at the
     first graph, so a run that generates none leaves it untouched."""
+    if args.count_only and args.out:
+        raise ValueError("gen --count-only writes no corpus, so it takes no --out")
     spec = GenSpec(args.n, args.min_degree, args.prune, args.max_edges)
     if args.count_only:
         yield ReportLine("gen", f"n={args.n}", "witness", {"count": generate_count(spec)})

@@ -2,19 +2,23 @@
 claims: neighbourhood enumerations, apex sweeps, edge-addition minor facts,
 triangle density formulas, and colour bounds on sampled minor-free graphs.
 
-Every check is a generator that yields one report record per input as it
-is decided, with a witness payload on failure, and returns its final
-record.  A failed run pinpoints the exact graph, subset, or edge pair
-responsible, and an interrupted one keeps the records it has made.
+Every check is a generator over its keyword parameters that yields one
+(input, ok, witness, millis) verdict per input as it is decided, with a
+witness payload on failure, and returns the (input, ok, witness) of its
+final record.  `run_check` makes every report record from them and takes
+each check's parameter list from its signature.  A failed run pinpoints
+the exact graph, subset, or edge pair responsible, and an interrupted one
+keeps the records it has made.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 import sys
 import time
 from collections.abc import Generator, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
 from math import comb
@@ -143,19 +147,14 @@ def _millis(t0: float) -> int:
     return int((time.monotonic() - t0) * 1000)
 
 
-def _line(check: str, input_id: str, verdict: str, witness, t0: float) -> ReportLine:
-    return ReportLine(check, input_id, verdict, witness, _millis(t0))
+# A check takes its parameters as keyword arguments with defaults.  It yields
+# (input, ok, witness, millis) for each input as it is decided and returns
+# (input, ok, witness) for its final record; `run_check` makes the records,
+# so no check names itself or spells a verdict.
+Check = Generator[tuple[str, bool, object, int], None, tuple[str, bool, object]]
 
 
-def _summary(check: str, payload, ok: bool = True) -> ReportLine:
-    """A check's final record; `run_check` completes it."""
-    return ReportLine(check, "summary", "pass" if ok else "fail", payload)
-
-
-Check = Generator[ReportLine, None, ReportLine]  # returns the final record
-
-
-def _check_wheels_r6(params: dict) -> Check:
+def _check_wheels_r6() -> Check:
     """Graphs on 6..7 vertices, min degree 4, no K5-minor: exactly the two
     double-axle wheels, each with 3n-6 edges and every edge in 2 triangles."""
     found = []
@@ -169,13 +168,11 @@ def _check_wheels_r6(params: dict) -> Check:
             and g.edge_count == 3 * g.n - 6
             and all((g.adj[u] & g.adj[v]).bit_count() == 2 for u, v in g.edges())
         )
-        witness = None if ok else {"graph6": write_graph6(g)}
-        yield _line("wheels-r6", write_graph6(g), "pass" if ok else "fail", witness, t0)
-    return _summary("wheels-r6", {"count": len(found), "expected": 2},
-                    ok=len(found) == 2)
+        yield write_graph6(g), ok, None if ok else {"graph6": write_graph6(g)}, _millis(t0)
+    return "summary", len(found) == 2, {"count": len(found), "expected": 2}
 
 
-def _check_list22_r7(params: dict) -> Check:
+def _check_list22_r7() -> Check:
     """Regenerate the neighbourhood list (<=9 vertices, min degree >= 5,
     K6-minor-free) and compare against the shipped corpus.
 
@@ -191,15 +188,14 @@ def _check_list22_r7(params: dict) -> Check:
     fresh = sorted(canonical_cert(g) for g in regenerated)
     shipped = sorted(canonical_cert(g) for g in corpus)
     match = fresh == shipped
-    yield _line(
-        "list22-r7", "corpus-match", "pass" if match else "fail",
-        None if match else {"regenerated": len(fresh), "shipped": len(shipped)}, t0,
-    )
+    yield ("corpus-match", match,
+           None if match else {"regenerated": len(fresh), "shipped": len(shipped)},
+           _millis(t0))
     count = len(regenerated)
     witness = {"count": count, "expected": 22}
     if count != 22:
         witness["graphs"] = [write_graph6(g) for g in regenerated]
-    return _summary("list22-r7", witness, ok=count == 22)
+    return "summary", count == 22, witness
 
 
 def _compk7_survivors(g6: str) -> tuple[str, list, int]:
@@ -220,36 +216,18 @@ def _compk7_survivors(g6: str) -> tuple[str, list, int]:
     return g6, offenders, _millis(t0)
 
 
-def _check_lemma_compk7(params: dict) -> Check:
+def _check_lemma_compk7(workers: int = 1) -> Check:
     """On every corpus graph: subsets keeping the dominated+apex augmentation
     K7-minor-free have size <= 5 and at most 3 missing internal edges."""
     corpus = [write_graph6(g) for g in load_corpus()]
     failed = 0
-    for g6, offenders, millis in _parallel_map(_compk7_survivors, corpus, params):
+    for g6, offenders, millis in _parallel_map(_compk7_survivors, corpus, workers):
         failed += bool(offenders)
-        yield ReportLine(
-            "lemma-compk7", g6, "pass" if not offenders else "fail",
-            {"offending_subsets": offenders} if offenders else None, millis,
-        )
-    return _summary("lemma-compk7", {"graphs": len(corpus), "failed": failed})
+        yield g6, not offenders, {"offending_subsets": offenders} if offenders else None, millis
+    return "summary", True, {"graphs": len(corpus), "failed": failed}
 
 
-def _special_vertices(g: Graph, exact: bool) -> int:
-    """Vertices whose every incident edge lies in exactly (or at least) the
-    threshold number of triangles used by the neighbourhood lemmas."""
-    count = 0
-    for v in range(g.n):
-        tri = [(g.adj[v] & g.adj[w]).bit_count() for w in g.neighbors(v)]
-        if not tri:
-            continue
-        if exact and all(t == 5 for t in tri):
-            count += 1
-        if not exact and min(tri) >= 5:
-            count += 1
-    return count
-
-
-def _check_lemma_numberk7(params: dict) -> Check:
+def _check_lemma_numberk7() -> Check:
     """At most one vertex per corpus graph has every incident edge in >= 4
     triangles inside the graph."""
     corpus = load_corpus()
@@ -262,11 +240,10 @@ def _check_lemma_numberk7(params: dict) -> Check:
         ]
         ok = len(special) <= 1
         failed += not ok
-        yield _line(
-            "lemma-numberk7", write_graph6(g), "pass" if ok else "fail",
-            {"special_vertices": special} if not ok else {"count": len(special)}, t0,
-        )
-    return _summary("lemma-numberk7", {"graphs": len(corpus), "failed": failed})
+        yield (write_graph6(g), ok,
+               {"count": len(special)} if ok else {"special_vertices": special},
+               _millis(t0))
+    return "summary", True, {"graphs": len(corpus), "failed": failed}
 
 
 _COMPK8_EXCEPTIONS = {
@@ -280,13 +257,19 @@ def _compk8_bullets(g6: str) -> tuple[str, dict, int]:
     """The lemma's facts for one graph, and the elapsed millis."""
     t0 = time.monotonic()
     g = parse_graph6(g6)
-    at_least = _special_vertices(g, exact=False)
-    exact = _special_vertices(g, exact=True)
+    # vertices whose every incident edge lies in exactly, or in at least,
+    # the 5 triangles of the neighbourhood lemmas' threshold
+    exactly = at_least = 0
+    for v in range(g.n):
+        tri = [(g.adj[v] & g.adj[w]).bit_count() for w in g.neighbors(v)]
+        if tri:
+            at_least += min(tri) >= 5
+            exactly += min(tri) == max(tri) == 5
     facts = {
         "connectivity": vertex_connectivity(g),
-        "special_exactly5": exact,
+        "special_exactly5": exactly,
         "special_at_least5": at_least,
-        "divergent_readings": at_least != exact,
+        "divergent_readings": at_least != exactly,
     }
     subset = double_apex_check(g, 8)
     facts["double_apex"] = subset is None
@@ -295,13 +278,12 @@ def _compk8_bullets(g6: str) -> tuple[str, dict, int]:
     return g6, facts, _millis(t0)
 
 
-def _check_lemma_compk8(params: dict) -> Check:
+def _check_lemma_compk8(n: int = 8, workers: int = 1) -> Check:
     """Enumerate K7-minor-free graphs with min degree >= 6 on n vertices;
     apart from the known exceptional graph each must be 5-connected, have at
     most one vertex with every incident edge in exactly 5 triangles, and pass
     the double-apex augmentation.  Exceptional graphs must have every edge in
     fewer than 5 triangles."""
-    n = int(params.get("n", 8))
     if n not in (8, 9, 10, 11):
         raise ValueError(f"lemma-compk8 takes n in 8..11, got {n}")
     if n == 11:
@@ -318,25 +300,33 @@ def _check_lemma_compk8(params: dict) -> Check:
             t0 = time.monotonic()
             tri = sorted({(g.adj[u] & g.adj[v]).bit_count() for u, v in g.edges()})
             ok = tri == [exc_tri]
-            yield _line(
-                "lemma-compk8", write_graph6(g), "pass" if ok else "fail",
-                {"exceptional": exc_name, "edge_triangles": tri,
-                 "expected": exc_tri} if not ok else
-                {"exceptional": exc_name, "edge_triangles": exc_tri}, t0,
-            )
+            yield (write_graph6(g), ok,
+                   {"exceptional": exc_name, "edge_triangles": exc_tri} if ok else
+                   {"exceptional": exc_name, "edge_triangles": tri, "expected": exc_tri},
+                   _millis(t0))
         else:
             ordinary.append(write_graph6(g))
-    for g6, facts, millis in _parallel_map(_compk8_bullets, ordinary, params):
+    for g6, facts, millis in _parallel_map(_compk8_bullets, ordinary, workers):
         ok = (
             facts["connectivity"] >= 5
             and facts["special_exactly5"] <= 1
             and facts["double_apex"]
         )
-        yield ReportLine("lemma-compk8", g6, "pass" if ok else "fail", facts, millis)
-    return _summary("lemma-compk8", {"n": n, "graphs": graphs})
+        yield g6, ok, facts, millis
+    return "summary", True, {"n": n, "graphs": graphs}
 
 
-def _check_claim_2edge_p10(params: dict) -> Check:
+def _has_added_minor(base: Graph, added, r: int) -> bool:
+    """Whether base plus the added edges has a K_r minor; a witness found is
+    re-checked."""
+    aug = make_graph(base.n, base.edges() + list(added))
+    w = has_minor(aug, complete(r))
+    if w is not None:
+        validate_minor_witness(aug, w)
+    return w is not None
+
+
+def _check_claim_2edge_p10() -> Check:
     """Edge additions in the Petersen complement: a pair ab, cd with ab, bc,
     cd all absent creates a K7-minor, and so does any triple of added edges
     with empty common intersection.  Witnesses are revalidated."""
@@ -354,35 +344,20 @@ def _check_claim_2edge_p10(params: dict) -> Check:
     for pair in sorted(pairs, key=lambda p: sorted(tuple(sorted(e)) for e in p)):
         t0 = time.monotonic()
         added = [tuple(sorted(e)) for e in pair]
-        aug = make_graph(10, pc.edges() + added)
-        w = has_minor(aug, complete(7))
-        ok = w is not None
-        if ok:
-            validate_minor_witness(aug, w)
-        yield _line(
-            "claim-2edgeP10", f"pair:{added}", "pass" if ok else "fail",
-            {"added": added} if not ok else None, t0,
-        )
-    pet_edges = pet.edges()
+        ok = _has_added_minor(pc, added, 7)
+        yield f"pair:{added}", ok, None if ok else {"added": added}, _millis(t0)
     triple_count = 0
-    for triple in combinations(pet_edges, 3):
-        common = set(triple[0]) & set(triple[1]) & set(triple[2])
-        if common:
+    for triple in combinations(pet.edges(), 3):
+        if set(triple[0]) & set(triple[1]) & set(triple[2]):
             continue
         triple_count += 1
         t0 = time.monotonic()
-        aug = make_graph(10, pc.edges() + list(triple))
-        w = has_minor(aug, complete(7))
-        ok = w is not None
-        if ok:
-            validate_minor_witness(aug, w)
-        if not ok:
-            yield _line("claim-2edgeP10", f"triple:{triple}", "fail",
-                        {"added": triple}, t0)
-    return _summary("claim-2edgeP10", {"pairs": len(pairs), "triples": triple_count})
+        if not _has_added_minor(pc, triple, 7):
+            yield f"triple:{triple}", False, {"added": triple}, _millis(t0)
+    return "summary", True, {"pairs": len(pairs), "triples": triple_count}
 
 
-def _check_claim_p10_subgraphs(params: dict) -> Check:
+def _check_claim_p10_subgraphs() -> Check:
     """The Petersen complement has exactly 6 induced subgraph classes on 6
     vertices, one of them the octahedron."""
     yield from ()  # no per-input records: the summary is the only one
@@ -393,38 +368,29 @@ def _check_claim_p10_subgraphs(params: dict) -> Check:
         classes.setdefault(canonical_cert(sub), sub)
     octa = complete_multipartite(2, 2, 2)
     has_octa = any(is_isomorphic(g, octa) for g in classes.values())
-    ok = len(classes) == 6 and has_octa
-    return _summary(
-        "claim-p10-subgraphs",
-        {"classes": len(classes), "expected": 6, "contains_octahedron": has_octa}, ok=ok,
-    )
+    return ("summary", len(classes) == 6 and has_octa,
+            {"classes": len(classes), "expected": 6, "contains_octahedron": has_octa})
 
 
-def _edge_addition_check(
-    check: str, base: Graph, additions: list[list[tuple[int, int]]], r: int
-) -> Check:
+def _edge_addition_check(base: Graph, additions: list[list[tuple[int, int]]],
+                         r: int) -> Check:
     for added in additions:
         t0 = time.monotonic()
-        aug = make_graph(base.n, base.edges() + added)
-        w = has_minor(aug, complete(r))
-        ok = w is not None
-        if ok:
-            validate_minor_witness(aug, w)
-        yield _line(check, f"added:{added}", "pass" if ok else "fail",
-                    {"added": added} if not ok else None, t0)
-    return _summary(check, {"cases": len(additions)})
+        ok = _has_added_minor(base, added, r)
+        yield f"added:{added}", ok, None if ok else {"added": added}, _millis(t0)
+    return "summary", True, {"cases": len(additions)}
 
 
-def _check_k2222_two_edges(params: dict) -> Check:
+def _check_k2222_two_edges() -> Check:
     """Adding any two of the four missing edges of K_{2,2,2,2} creates a
     K7-minor."""
     base = complete_multipartite(2, 2, 2, 2)
     missing = [(0, 1), (2, 3), (4, 5), (6, 7)]
     additions = [list(pair) for pair in combinations(missing, 2)]
-    return _edge_addition_check("k2222-two-edges", base, additions, 7)
+    return _edge_addition_check(base, additions, 7)
 
 
-def _check_k333_additions(params: dict) -> Check:
+def _check_k333_additions() -> Check:
     """Adding two vertex-disjoint edges, or the three edges of a triangle,
     inside the parts of K_{3,3,3} creates a K7-minor."""
     base = complete_multipartite(3, 3, 3)
@@ -436,34 +402,32 @@ def _check_k333_additions(params: dict) -> Check:
         if not set(pair[0]) & set(pair[1])
     ]
     additions += [[(a, b), (a, c), (b, c)] for a, b, c in parts]
-    return _edge_addition_check("k333-additions", base, additions, 7)
+    return _edge_addition_check(base, additions, 7)
 
 
-def _check_k22222_maximal(params: dict) -> Check:
+def _check_k22222_maximal() -> Check:
     """K_{2,2,2,2,2} is maximal without a K8-minor: each of the five missing
     part edges creates one."""
     base = complete_multipartite(2, 2, 2, 2, 2)
     assert has_minor(base, complete(8)) is None
     additions = [[(2 * i, 2 * i + 1)] for i in range(5)]
-    return _edge_addition_check("k22222-maximal", base, additions, 8)
+    return _edge_addition_check(base, additions, 8)
 
 
-def _check_density_ktree(params: dict) -> Check:
-    """Random k-trees satisfy 2t = (k-1)m - C(k+1,3) exactly."""
-    seed = int(params.get("seed", 0))
-    per_k = int(params.get("samples", 100))
+def _check_density_ktree(seed: int = 0, samples: int = 100) -> Check:
+    """Random k-trees satisfy 2t = (k-1)m - C(k+1,3) exactly; `samples`
+    k-trees for each k."""
     rng = random.Random(seed)
     for k in range(2, 7):
         t0 = time.monotonic()
         bad = []
-        for _ in range(per_k):
+        for _ in range(samples):
             n = rng.randint(k, 20)
             g = k_tree(k, n, rng.randrange(1 << 30))
             if 2 * total_triangles(g) != (k - 1) * g.edge_count - comb(k + 1, 3):
                 bad.append({"k": k, "n": n, "graph6": write_graph6(g)})
-        yield _line("density-ktree", f"k={k}", "pass" if not bad else "fail",
-                    {"violations": bad} if bad else {"samples": per_k}, t0)
-    return _summary("density-ktree", {"per_k": per_k})
+        yield f"k={k}", not bad, {"violations": bad} if bad else {"samples": samples}, _millis(t0)
+    return "summary", True, {"per_k": samples}
 
 
 def _density_sample(args: tuple[int, int]) -> tuple[int, str, bool]:
@@ -478,22 +442,18 @@ def _density_sample(args: tuple[int, int]) -> tuple[int, str, bool]:
             return k, write_graph6(g), density_conclusion(g, k)
 
 
-def _check_density_premise(params: dict) -> Check:
+def _check_density_premise(seed: int = 0, samples: int = 1000, workers: int = 1) -> Check:
     """Sampling net: graphs meeting the triangle-density premise have the
     promised complete minor (k in 4..7); the samples have at most 12
     vertices."""
     yield from ()  # no per-input records: the net's record is the only one
-    seed = int(params.get("seed", 0))
-    samples = int(params.get("samples", 1000))
     jobs = [(k, seed * 1_000_003 + k * 101 + i) for k in range(4, 8) for i in range(samples)]
     failures = []
-    for k, g6, ok in _parallel_map(_density_sample, jobs, params):
+    for k, g6, ok in _parallel_map(_density_sample, jobs, workers):
         if not ok:
             failures.append({"k": k, "graph6": g6})
-    return ReportLine(
-        "density-premise", f"net:{samples}x4", "pass" if not failures else "fail",
-        {"failures": failures} if failures else {"samples": samples, "k": [4, 5, 6, 7]},
-    )
+    return (f"net:{samples}x4", not failures,
+            {"failures": failures} if failures else {"samples": samples, "k": [4, 5, 6, 7]})
 
 
 def _coloring_sample(args: tuple[int, int, int]) -> tuple[int, str, int]:
@@ -503,7 +463,7 @@ def _coloring_sample(args: tuple[int, int, int]) -> tuple[int, str, int]:
     return bound, write_graph6(g), chromatic_number(g).chi
 
 
-def _check_coloring_bound(params: dict) -> Check:
+def _check_coloring_bound(seed: int = 0, samples: int = 1000, workers: int = 1) -> Check:
     """Sampled minor-free graphs respect the proven colour bounds: no K7
     minor -> 8 colours, no K8 minor -> 10 colours.
 
@@ -514,21 +474,16 @@ def _check_coloring_bound(params: dict) -> Check:
     least 5n edges and a K8-minor-free graph at most 6n - 20, so none to the
     K8 bound has fewer than 20.  The samples have at most 14 vertices.
     """
-    seed = int(params.get("seed", 0))
-    samples = int(params.get("samples", 1000))
     for r, bound in ((7, 8), (8, 10)):
         t0 = time.monotonic()
         jobs = [(r, bound, seed * 7_777_777 + r * 13 + i) for i in range(samples)]
         bad = []
-        for b, g6, chi in _parallel_map(_coloring_sample, jobs, params):
+        for b, g6, chi in _parallel_map(_coloring_sample, jobs, workers):
             if chi > b:
                 bad.append({"graph6": g6, "chi": chi, "bound": b})
-        yield _line(
-            "coloring-bound", f"K{r}-minor-free<={bound}",
-            "pass" if not bad else "fail",
-            {"violations": bad} if bad else {"samples": samples}, t0,
-        )
-    return _summary("coloring-bound", {"samples": samples})
+        yield (f"K{r}-minor-free<={bound}", not bad,
+               {"violations": bad} if bad else {"samples": samples}, _millis(t0))
+    return "summary", True, {"samples": samples}
 
 
 # ---------------------------------------------------------------------------
@@ -552,54 +507,48 @@ _CHECKS = {
 
 CHECK_IDS = tuple(sorted(_CHECKS))
 
-# The parameters each check reads; a parameter a check would ignore is
-# refused instead.
-_CHECK_PARAMS = {
-    "lemma-compk7": {"workers"},
-    "lemma-compk8": {"n", "workers"},
-    "density-ktree": {"seed", "samples"},
-    "density-premise": {"seed", "samples", "workers"},
-    "coloring-bound": {"seed", "samples", "workers"},
-}
-
 
 def run_check(check_id: str, **params) -> Iterator[ReportLine]:
     """Run one named check, yielding its report records as they are made;
     the parameters are checked when the first record is asked for.
 
-    The check's final record comes last: it fails when an earlier record
-    failed, and carries the whole check's millis, generation included.
+    The check's signature is its parameter list: a name it does not list is
+    refused, and each value is read as an int.  The check's final record
+    comes last: it fails when an earlier record failed, and carries the
+    whole check's millis, generation included.
     """
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; have {CHECK_IDS}")
-    unread = set(params) - _CHECK_PARAMS.get(check_id, set())
+    check = _CHECKS[check_id]
+    unread = set(params) - set(inspect.signature(check).parameters)
     if unread:
         raise ValueError(f"check {check_id} does not take {', '.join(sorted(unread))}")
+    params = {name: int(value) for name, value in params.items()}
     for name in ("samples", "workers"):
-        if name in params and int(params[name]) < 1:
+        if params.get(name, 1) < 1:
             raise ValueError(f"{name} must be at least 1, got {params[name]}")
     t0 = time.monotonic()
-    records = _CHECKS[check_id](params)
+    records = check(**params)
     failed = False
     while True:
         try:
-            record = next(records)
+            input_id, ok, witness, millis = next(records)
         except StopIteration as done:
-            last = done.value
+            input_id, ok, witness = done.value
             break
-        failed = failed or record.verdict == "fail"
-        yield record
-    yield replace(last, verdict="fail" if failed else last.verdict, millis=_millis(t0))
+        failed = failed or not ok
+        yield ReportLine(check_id, input_id, "pass" if ok else "fail", witness, millis)
+    yield ReportLine(check_id, input_id, "pass" if ok and not failed else "fail",
+                     witness, _millis(t0))
 
 
-def _parallel_map(fn, items, params):
-    """Map a picklable task over items, yielding the results in order;
-    honours params['workers'].  Closing the generator early cancels the
-    tasks that have not started: all but the 2 * workers + 1 chunks the
-    pool runs or queues.  So a chunk is a 64th of a worker's share (one
-    item in a short sweep), which still spares thousands of small tasks a
-    round trip to a worker each."""
-    workers = int(params.get("workers", 1))
+def _parallel_map(fn, items, workers: int):
+    """Map a picklable task over items on `workers` processes, yielding the
+    results in order.  Closing the generator early cancels the tasks that
+    have not started: all but the 2 * workers + 1 chunks the pool runs or
+    queues.  So a chunk is a 64th of a worker's share (one item in a short
+    sweep), which still spares thousands of small tasks a round trip to a
+    worker each."""
     if workers <= 1 or len(items) <= 1:
         yield from map(fn, items)
         return

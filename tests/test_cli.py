@@ -175,6 +175,7 @@ def test_usage_errors_exit_2():
     ["verify", "--check", "density-ktree", "--samples", "2", "--workers", "2"],
     ["verify", "--check", "lemma-compk7", "--seed", "1"],
     ["gen", "--n", "5", "--min-degree", "-1", "--count-only"],
+    ["gen", "--n", "4", "--count-only", "--out", "counts.g6"],
 ])
 def test_bad_parameters_exit_2_with_a_message(args, capsys):
     assert main(args) == 2
@@ -342,21 +343,66 @@ def test_lemma_compk8_records_are_pinned(n, code, lines, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of the default stdout of `verify --check lemma-compk7` (all 23
-# corpus graphs) and `verify --check coloring-bound` at its defaults,
-# captured before the partition search had its edge-count bound; both
-# decide mostly negative kernel verdicts, in about 1 s each on a 2-core
-# machine
-@pytest.mark.parametrize("check, lines, digest", [
+# sha256, line count and exit code of the default stdout (every millis 0)
+# of `verify --check X` for every check but lemma-compk8, pinned above.
+# lemma-compk7 (all 23 corpus graphs) and coloring-bound were captured
+# before the partition search had its edge-count bound, the others before
+# run_check made every check's records.  list22-r7 exits 1 on its 23
+# classes (acceptance criterion 1).  lemma-compk7, density-premise and
+# coloring-bound take 0.5-1 s each on a 2-core machine, the other nine
+# 0.3 s together.
+@pytest.mark.parametrize("check, code, lines, digest", [
     pytest.param(
-        "lemma-compk7", 24, "1e6ef9985a2c90ade0d9798c59e6d2d59f68d3bb1ec5e843ea2878ab9b4eca6e",
+        "lemma-compk7", 0, 24,
+        "1e6ef9985a2c90ade0d9798c59e6d2d59f68d3bb1ec5e843ea2878ab9b4eca6e",
         id="lemma-compk7"),
     pytest.param(
-        "coloring-bound", 3, "1bd9bbfb1a8dc84d8644662a5032582b4f3cd9bf7d1bfbbf6846509c50ba03ec",
+        "coloring-bound", 0, 3,
+        "1bd9bbfb1a8dc84d8644662a5032582b4f3cd9bf7d1bfbbf6846509c50ba03ec",
         id="coloring-bound"),
+    pytest.param(
+        "wheels-r6", 0, 3,
+        "097ea9976ca3a4119c674d301e0dd40b100276b378926bde9a0a559cab32d82d",
+        id="wheels-r6"),
+    pytest.param(
+        "list22-r7", 1, 2,
+        "ba1c3e2cbff95846c3f2dced44721170b227c7450973cc062fed5c48eeec860b",
+        id="list22-r7"),
+    pytest.param(
+        "lemma-numberk7", 0, 24,
+        "2a820ae0988eb022bca8ab5c5f18d60a720fcce7c8529b342e8c2ce1763df2cc",
+        id="lemma-numberk7"),
+    pytest.param(
+        "claim-2edgeP10", 0, 61,
+        "78c524006ed1ec773e88e0b11dd141557af6e5ba54a3dbd03e20029e1e55ebb5",
+        id="claim-2edgeP10"),
+    pytest.param(
+        "claim-p10-subgraphs", 0, 1,
+        "613ee20b0b2bfcb9fb276a3c3b6ce87509ee702e4b5b56a0b863b3a678cf6a5b",
+        id="claim-p10-subgraphs"),
+    pytest.param(
+        "k2222-two-edges", 0, 7,
+        "64c472ec0d27f0233b1599885dbc401ab8b97cca1709bce55c4231af91703ac2",
+        id="k2222-two-edges"),
+    pytest.param(
+        "k333-additions", 0, 31,
+        "4d8d4bd3294799ea5520791ab6b8ccf35d94ecb657d08127aebf7c3061c270ed",
+        id="k333-additions"),
+    pytest.param(
+        "k22222-maximal", 0, 6,
+        "c804330b9ee11a490998aa53feb5815a267deb486ab0aab3b5bb7488f92c4ab2",
+        id="k22222-maximal"),
+    pytest.param(
+        "density-ktree", 0, 6,
+        "23fd192eff14c7649403a60ea34c1e8a23be702ef1deb4a347f8146326c1719b",
+        id="density-ktree"),
+    pytest.param(
+        "density-premise", 0, 1,
+        "c548c70db151b48c299fe4e14a3d3a598c1a08250e5991ec4a1b2f2d67148a90",
+        id="density-premise"),
 ])
-def test_negative_verdict_check_records_are_pinned(check, lines, digest, capsys):
-    assert main(["verify", "--check", check]) == 0
+def test_check_records_are_pinned(check, code, lines, digest, capsys):
+    assert main(["verify", "--check", check]) == code
     out = capsys.readouterr().out
     assert out.count("\n") == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest

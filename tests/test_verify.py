@@ -199,27 +199,60 @@ def test_swept_check_records_carry_their_elapsed_time(monkeypatch):
 
 
 def test_summary_fails_on_any_failed_record_or_false_ok(monkeypatch):
-    # run_check passes the earlier records through and fails the final one
-    # when any of them failed; otherwise the final record keeps its verdict
+    # run_check makes a record of each verdict the check yields, and fails
+    # the final one when any of them failed; otherwise the final record
+    # keeps the verdict the check returned
     import triminor.verify as verify
     from triminor.reports import ReportLine
 
-    passed = ReportLine("c", "a", "pass", None)
-    failed = ReportLine("c", "b", "fail", {"x": 1})
+    passed = ("a", True, None, 3)
+    failed = ("b", False, {"x": 1}, 4)
+    passed_record = ReportLine("fake", "a", "pass", None, 3)
+    failed_record = ReportLine("fake", "b", "fail", {"x": 1}, 4)
 
-    def final(records, ok=True):
-        def check(params):
-            yield from records
-            return verify._summary("c", {"n": len(records)}, ok=ok)
+    def final(verdicts, ok=True):
+        def check():
+            yield from verdicts
+            return "summary", ok, {"n": len(verdicts)}
 
         monkeypatch.setitem(verify._CHECKS, "fake", check)
         *earlier, last = run_check("fake")
-        assert earlier == records
-        return replace(last, millis=0)
+        return earlier, replace(last, millis=0)
 
-    assert final([passed]) == ReportLine("c", "summary", "pass", {"n": 1})
-    assert final([passed, failed]) == ReportLine("c", "summary", "fail", {"n": 2})
-    assert final([passed], ok=False).verdict == "fail"
+    assert final([passed]) == (
+        [passed_record], ReportLine("fake", "summary", "pass", {"n": 1}))
+    assert final([passed, failed]) == (
+        [passed_record, failed_record], ReportLine("fake", "summary", "fail", {"n": 2}))
+    assert final([passed], ok=False)[1].verdict == "fail"
+
+
+# The parameters README lists for each check; the other checks take none.
+_README_PARAMS = {
+    "lemma-compk7": {"workers"},
+    "lemma-compk8": {"n", "workers"},
+    "density-ktree": {"seed", "samples"},
+    "density-premise": {"seed", "samples", "workers"},
+    "coloring-bound": {"seed", "samples", "workers"},
+}
+
+
+@pytest.mark.parametrize("param", ["n", "samples", "seed", "workers"])
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_each_check_takes_exactly_the_parameters_readme_lists(check_id, param):
+    # a check's signature is its parameter list, so this keeps a new
+    # keyword argument from silently widening what it accepts.  A value
+    # that is no integer stops a parameter the check takes at run_check's
+    # int(), before the check starts; a name it does not take is refused
+    # before that
+    taken = param in _README_PARAMS.get(check_id, set())
+    with pytest.raises(ValueError, match="invalid literal" if taken else "does not take"):
+        next(run_check(check_id, **{param: "x"}))
+
+
+def test_run_check_reads_each_parameter_as_an_int():
+    as_text = [replace(r, millis=0) for r in run_check("density-ktree", samples="15")]
+    as_int = [replace(r, millis=0) for r in run_check("density-ktree", samples=15)]
+    assert as_text == as_int and as_int[-1].witness == {"per_k": 15}
 
 
 def _leave_marker(task: tuple[str, float]) -> str:
@@ -238,7 +271,7 @@ def test_closing_parallel_map_early_cancels_the_tasks_not_started(tmp_path):
     from triminor.verify import _parallel_map
 
     tasks = [(str(tmp_path / f"task{i}"), 0.0 if i < 5 else 0.05) for i in range(40)]
-    results = _parallel_map(_leave_marker, tasks, {"workers": 2})
+    results = _parallel_map(_leave_marker, tasks, 2)
     assert next(results) == tasks[0][0]
     results.close()  # returns once the tasks already started have finished
     assert sum(Path(path).exists() for path, _ in tasks) <= 15
