@@ -126,12 +126,8 @@ def _preserves_rows(adj: tuple[int, ...], perm: list[int]) -> bool:
     return True
 
 
-class _Stop(Exception):
-    """Ends a bounded search at its first leaf at or below the bound."""
-
-
 def _search(
-    adj: tuple[int, ...], cells: list[list[int]], group: bool, bound: int = -1
+    adj: tuple[int, ...], cells: list[list[int]], group: bool
 ) -> tuple[int, list[list[int]]]:
     """Search the refinement tree below the equitable ordered partition
     `cells`; return the key of the best leaf (-1 for the group search) and
@@ -150,16 +146,15 @@ def _search(
     The two searches differ in what a leaf is compared with, because they
     want different things from the tree.  The certificate search (`group`
     false) needs the minimal leaf, so it builds the triangle key of every
-    leaf, keeps the least, records the map from it to each later leaf with
-    an equal key, and stops at its first leaf at or below `bound`.  The
-    group search needs only one leaf per coset of the group, so it keeps
-    the first leaf, records the map from it to each later leaf that
-    preserves every adjacency row, and builds no key.  An image of the
-    first leaf lies on a path whose partitions have, depth by depth, the
-    cell sizes of the first path's, so the group search also cuts each node
-    whose cell sizes differ from those of the first-path node at its depth,
-    or that lies deeper than the first leaf (McKay, "Practical graph
-    isomorphism", 1981).
+    leaf, keeps the least, and records the map from it to each later leaf
+    with an equal key.  The group search needs only one leaf per coset of
+    the group, so it keeps the first leaf, records the map from it to each
+    later leaf that preserves every adjacency row, and builds no key.  An
+    image of the first leaf lies on a path whose partitions have, depth by
+    depth, the cell sizes of the first path's, so the group search also cuts
+    each node whose cell sizes differ from those of the first-path node at
+    its depth, or that lies deeper than the first leaf (McKay, "Practical
+    graph isomorphism", 1981).
 
     Both searches record the automorphisms they meet and prune by them
     (McKay & Piperno, "Practical graph isomorphism, II", 2014): the maps
@@ -172,13 +167,13 @@ def _search(
     deepest node whose individualised vertices it fixes, since the
     automorphism maps a searched sibling's subtree onto the one being
     searched.  Either way the skipped subtree is the image of a searched
-    one with the same leaf keys, so neither the minimal key nor whether a
-    leaf lies below `bound` changes.  The group search's permutations
-    generate the automorphisms that preserve the cells: at each node of the
-    first path, each child in the orbit of the first path's child is reached
-    by a product of recorded permutations that fix the node's individualised
-    vertices, and the first leaf's own stabiliser is generated by its twin
-    transpositions.  No permutation is recorded twice.
+    one with the same leaf keys, so the minimal key does not change.  The
+    group search's permutations generate the automorphisms that preserve
+    the cells: at each node of the first path, each child in the orbit of
+    the first path's child is reached by a product of recorded permutations
+    that fix the node's individualised vertices, and the first leaf's own
+    stabiliser is generated by its twin transpositions.  No permutation is
+    recorded twice.
     """
     n = len(adj)
     everyone = (1 << n) - 1
@@ -218,8 +213,6 @@ def _search(
             key = _triangle_key(adj, lab)
             if not ref or key < best:
                 ref, best = lab, key
-                if best <= bound:
-                    raise _Stop
                 return
             if key > best:
                 return
@@ -284,18 +277,14 @@ def _search(
                     jump = None
             searched |= 1 << v
 
-    try:
-        rec(cells, 0, 0)
-    except _Stop:
-        pass
+    rec(cells, 0, 0)
     return best, [perm for perm, _ in found]
 
 
-def _min_key(g: Graph, cells: list[list[int]], bound: int = -1) -> int:
-    """Minimal triangle key over all refinement-compatible orderings, or
-    the key of the first leaf at or below `bound`, where the search stops
-    (the certificate search of `_search`)."""
-    return _search(g.adj, _refine(g.adj, cells), False, bound)[0]
+def _min_key(g: Graph, cells: list[list[int]]) -> int:
+    """Minimal triangle key over all refinement-compatible orderings (the
+    certificate search of `_search`)."""
+    return _search(g.adj, _refine(g.adj, cells), False)[0]
 
 
 def canonical_cert(g: Graph) -> bytes:
@@ -327,24 +316,12 @@ def pair_cert(g: Graph, u: int, v: int) -> bytes:
 
     Equal results for pairs {u,v} and {x,y} of the same graph mean some
     automorphism maps one pair onto the other, so this groups edges (or
-    non-edges) into automorphism orbits.
+    non-edges) into automorphism orbits.  The results for one graph have
+    one length, so they compare as their keys do.
     """
     key = _min_key(g, _pair_cells(g.n, u, v))
     nbytes = (comb(g.n, 2) + 7) // 8
     return key.to_bytes(nbytes, "big")
-
-
-def pair_cert_below(g: Graph, u: int, v: int, cert: bytes) -> bool:
-    """Whether pair_cert(g, u, v) < cert, where cert is the pair certificate
-    of another pair {x, y} of g.
-
-    The search stops at its first leaf at or below cert.  A smaller leaf
-    answers yes.  An equal one answers no, and puts {u, v} in the orbit of
-    {x, y}: both leaves put the pair first, so mapping the leaf of cert
-    onto it is an automorphism taking {x, y} to {u, v}.
-    """
-    bound = int.from_bytes(cert, "big")
-    return _min_key(g, _pair_cells(g.n, u, v), bound=bound) < bound
 
 
 def automorphisms(

@@ -14,9 +14,9 @@ invariants and hands the edges that tie on it to the rest of the test; the
 parent's automorphism search runs only on the augmentations it keeps; and
 a child with a tie that the cell key leaves gets one search of its own
 automorphism group, which settles every tie in the added edge's orbit and
-leaves a pair search, stopping at the first leaf at or below the added
-edge's certificate, only for the others.  The child keeps those generators
-for the next level, where, as a parent, it needs no search of its own.
+leaves only the others to compare by pair certificate.  The child keeps
+those generators for the next level, where, as a parent, it needs no search
+of its own.
 Orbits are walked by `canon.orbit`, the one orbit walk the apex sweeps use
 too.
 Hereditary pruning cuts whole subtrees: a predicate that can never be
@@ -35,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .canon import automorphisms, cell_positions, orbit, pair_cert, pair_cert_below
+from .canon import automorphisms, cell_positions, orbit, pair_cert
 from .graphs import Graph, bits, complement, from_rows, mader_edge_cap
 from .minors import EXHAUSTIVE_HOST_LIMIT, kr_minor_verdict
 
@@ -189,9 +189,9 @@ def _is_canonical_child(
     shares the added edge's cell key, one search of g's automorphism group
     starts from those refined cells: the ties in the added edge's orbit
     share its pair certificate, so only the others are compared with it,
-    each by a search that stops at the first leaf at or below it.  An
-    accepted g leaves its generators in `groups` under `g.adj`, for the
-    step where g becomes a parent.
+    each by its own full pair certificate.  An accepted g leaves its
+    generators in `groups` under `g.adj`, for the step where g becomes a
+    parent.
     """
     if not ties:
         return True
@@ -214,7 +214,7 @@ def _is_canonical_child(
     rest = [(u, v) for u, v in same if 1 << u | 1 << v not in in_orbit]
     if rest:
         cert_added = pair_cert(g, *added)
-        if any(pair_cert_below(g, u, v, cert_added) for u, v in rest):
+        if any(pair_cert(g, u, v) < cert_added for u, v in rest):
             return False
     groups[g.adj] = gens
     return True
@@ -252,7 +252,7 @@ def orderly_stream(
     masks; the least pair of each orbit then meets the rest of the canonical
     test (`_is_canonical_child`) against the tied edges the invariant test
     found: the refined-cell key, then the child's automorphism group, then
-    bounded pair certificates for the ties outside the added edge's orbit.
+    pair certificates for the ties outside the added edge's orbit.
     `keep_after` is asked only once that accepts it.  The generators of a
     child whose test searched its group are kept, by adjacency, until the
     next level has been built, and `_orbit_reps` uses them in place of its

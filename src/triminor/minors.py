@@ -47,17 +47,22 @@ class MinorWitness:
 
 
 def validate_minor_witness(g: Graph, w: MinorWitness) -> None:
-    """Independently re-check a witness against the model invariants.
+    """Independently re-check a witness against the model invariants;
+    raise ValueError naming the first one it breaks.
 
     Deliberately shares nothing with the search: plain set/BFS arithmetic.
     """
     sets = [set(s) for s in w.branch_sets]
-    assert len(sets) == w.pattern.n, "one branch set per pattern vertex"
+    if len(sets) != w.pattern.n:
+        raise ValueError("not one branch set per pattern vertex")
     seen: set[int] = set()
     for s in sets:
-        assert s, "branch sets are non-empty"
-        assert all(0 <= v < g.n for v in s), "branch set outside host"
-        assert not (s & seen), "branch sets overlap"
+        if not s:
+            raise ValueError("empty branch set")
+        if not all(0 <= v < g.n for v in s):
+            raise ValueError("branch set outside host")
+        if s & seen:
+            raise ValueError("branch sets overlap")
         seen |= s
         # connectivity by BFS over explicit neighbour lists
         todo = [next(iter(s))]
@@ -68,13 +73,14 @@ def validate_minor_witness(g: Graph, w: MinorWitness) -> None:
                 if v not in reached and g.has_edge(u, v):
                     reached.add(v)
                     todo.append(v)
-        assert reached == s, "branch set not connected"
+        if reached != s:
+            raise ValueError("branch set not connected")
     for i in range(w.pattern.n):
         for j in range(i + 1, w.pattern.n):
-            if w.pattern.has_edge(i, j):
-                assert any(
-                    g.has_edge(u, v) for u in sets[i] for v in sets[j]
-                ), f"pattern edge ({i},{j}) not realised"
+            if w.pattern.has_edge(i, j) and not any(
+                g.has_edge(u, v) for u in sets[i] for v in sets[j]
+            ):
+                raise ValueError(f"pattern edge ({i},{j}) not realised")
 
 
 def _search_model(g: Graph, h: Graph) -> list[int] | None:

@@ -16,17 +16,14 @@ from oracles import (
 )
 from triminor import canon
 from triminor.canon import (
-    _min_key,
     _refine,
     _search,
-    _triangle_key,
     automorphisms,
     canonical_cert,
     cell_positions,
     is_isomorphic,
     orbit,
     pair_cert,
-    pair_cert_below,
 )
 from triminor.generate import orderly_stream
 from triminor.graph6 import parse_graph6
@@ -111,64 +108,6 @@ def test_pair_cert_groups_edges_into_orbits():
     assert len(certs) == 1
     p4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
     assert pair_cert(p4, 0, 1) == pair_cert(p4, 2, 3) != pair_cert(p4, 1, 2)
-
-
-def test_bounded_pair_comparison_matches_full_certificates():
-    # every ordered pair of distinct vertex pairs of each graph, so the
-    # bounded search meets pairs below, above and in the orbit of the pair
-    # whose certificate bounds it; the relabelled symmetric graphs give the
-    # orbits more than one pair
-    rng = random.Random(16)
-    symmetric = [petersen(), complete_multipartite(2, 2, 2), complete_multipartite(1, 3, 3),
-                 double_axle_wheel(5), make_graph(7, [(i, (i + 1) % 7) for i in range(7)])]
-    graphs = []
-    for g in symmetric:
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        graphs.append(_relabel(g, perm))
-    graphs += [random_graph_for_tests(rng.randint(2, 8), rng, p=rng.uniform(0.2, 0.8))
-               for _ in range(40)]
-    outcomes = {"below": 0, "orbit": 0, "above": 0}
-    for g in graphs:
-        pairs = list(itertools.combinations(range(g.n), 2))
-        certs = {pair: pair_cert(g, *pair) for pair in pairs}
-        for added in pairs:
-            for t in pairs:
-                if t == added:
-                    continue
-                below = pair_cert_below(g, *t, certs[added])
-                assert below == (certs[t] < certs[added]), (g.adj, added, t)
-                if certs[t] == certs[added]:
-                    outcomes["orbit"] += 1
-                else:
-                    outcomes["below" if below else "above"] += 1
-    assert min(outcomes.values()) > 1000, outcomes
-
-
-def test_bounded_search_stops_at_the_first_leaf_at_or_below_the_bound(monkeypatch):
-    leaves = []
-
-    def counted(adj, lab):
-        leaves.append(lab)
-        return _triangle_key(adj, lab)
-
-    monkeypatch.setattr(canon, "_triangle_key", counted)
-    rng = random.Random(17)
-    stopped_early = 0
-    for _ in range(60):
-        g = random_graph_for_tests(rng.randint(3, 8), rng, p=rng.uniform(0.2, 0.8))
-        cells = [list(range(g.n))]
-        leaves.clear()
-        least = _min_key(g, cells)
-        searched = len(leaves)
-        assert _min_key(g, cells, bound=least - 1) == least
-        assert _min_key(g, cells, bound=least) == least
-        # any leaf ends a search bounded by the largest key
-        leaves.clear()
-        assert least <= _min_key(g, cells, bound=(1 << comb(g.n, 2)) - 1)
-        assert len(leaves) == 1  # one twin-class leaf when g is empty or complete
-        stopped_early += searched > 1
-    assert stopped_early > 10
 
 
 def test_cell_positions_follow_a_relabelling():

@@ -314,26 +314,25 @@ def test_edge_cap_gives_the_level_at_the_cap_no_children(monkeypatch):
     assert {parent.edge_count for parent, _ in scans} == {0, 1, 2, 3, 4}
 
 
-@pytest.mark.parametrize("spec, searches, reused, refined, pair_certs, bounded, nodes, keys", [
-    pytest.param(GenSpec(9, min_degree=5), 740, 183, 813, 13, 34, 2791, 94, id="n9-mindeg5"),
-    pytest.param(GenSpec(9, min_degree=6, prune="K7"), 65, 23, 56, 2, 5, 420, 24,
+@pytest.mark.parametrize("spec, searches, reused, refined, pair_certs, nodes, keys", [
+    pytest.param(GenSpec(9, min_degree=5), 740, 183, 813, 47, 2799, 100, id="n9-mindeg5"),
+    pytest.param(GenSpec(9, min_degree=6, prune="K7"), 65, 23, 56, 7, 423, 26,
                  id="n9-mindeg6-K7"),
 ])
 def test_parent_automorphism_search_only_on_invariant_survivors(
-    monkeypatch, spec, searches, reused, refined, pair_certs, bounded, nodes, keys
+    monkeypatch, spec, searches, reused, refined, pair_certs, nodes, keys
 ):
     # one search per parent would be 1,165 and 70 here; the children that
     # tie on the invariant are refined once each; the 469 and 52 children
     # with a tie left by the cell key get one group search each, whose
     # generators 183 and 23 parents reuse, so 271 and 13 parents search
-    # their own; the ties outside the added edge's orbit leave 13 + 34 and
-    # 2 + 5 pair searches of the 2,203 and 197 full pair certificates that
-    # the invariant ties alone would ask for; `_refine` runs once per
-    # `cell_positions` and per canon search node, 2,791 and 420 times
-    # (4,663 and 803 when the group search refined the child's cells again
-    # and ran the certificate search, which built 1,521 and 235 triangle
-    # keys), and only the pair searches build triangle keys
-    calls = {"automorphisms": 0, "cell_positions": 0, "pair_cert": 0, "pair_cert_below": 0}
+    # their own; the ties outside the added edge's orbit leave 47 and 7
+    # pair certificates (13 and 2 for added edges, 34 and 5 for ties) of
+    # the 2,203 and 197 that the invariant ties alone would ask for;
+    # `_refine` runs once per `cell_positions` and per canon search node,
+    # 2,799 and 423 times, and only the pair certificates build triangle
+    # keys
+    calls = {"automorphisms": 0, "cell_positions": 0, "pair_cert": 0}
     work = {"_refine": 0, "_triangle_key": 0}
 
     def counted(module, tally, name):
@@ -358,7 +357,7 @@ def test_parent_automorphism_search_only_on_invariant_survivors(
     monkeypatch.setattr(gen_module, "_orbit_reps", watched)
     sum(1 for _ in generate(spec))
     assert calls == {"automorphisms": searches, "cell_positions": refined,
-                     "pair_cert": pair_certs, "pair_cert_below": bounded}
+                     "pair_cert": pair_certs}
     assert sum(given) == reused
     assert work == {"_refine": nodes, "_triangle_key": keys}
 

@@ -1,7 +1,11 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from contextlib import contextmanager
 from math import comb
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -17,6 +21,7 @@ from oracles import (
     st_separator_brute,
     vertex_connectivity_brute,
 )
+import triminor
 from triminor import canon, minors
 from triminor.generate import GenSpec, generate
 from triminor.graph6 import parse_graph6
@@ -104,14 +109,31 @@ def test_witness_validator_rejects_tampering():
     g = petersen()
     w = has_minor(g, complete(5))
     broken = MinorWitness(w.pattern, w.branch_sets[:-1] + (frozenset({0, 7}),))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         validate_minor_witness(g, broken)
     disconnected = MinorWitness(
         complete(2), (frozenset({0}), frozenset({2, 7}))
     )
     if not g.has_edge(2, 7):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             validate_minor_witness(g, disconnected)
+
+
+def test_witness_validator_rejects_a_bogus_model_under_python_O():
+    # the re-check must not go with assert statements: under -O a K4 model
+    # on the path P4, one vertex per branch set, is still refused
+    probe = (
+        "from triminor.graphs import complete, make_graph\n"
+        "from triminor.minors import MinorWitness, validate_minor_witness\n"
+        "p4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])\n"
+        "w = MinorWitness(complete(4), tuple(frozenset({v}) for v in range(4)))\n"
+        "validate_minor_witness(p4, w)\n"
+    )
+    src = str(Path(triminor.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "ValueError: pattern edge (0,2) not realised"
 
 
 def test_vertex_connectivity():

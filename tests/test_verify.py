@@ -18,6 +18,7 @@ from triminor.graphs import (
     total_triangles,
 )
 from triminor.minors import (
+    MinorWitness,
     apex_augment_check,
     attach_vertex,
     has_minor,
@@ -245,8 +246,14 @@ def test_each_check_takes_exactly_the_parameters_readme_lists(check_id, param):
     # int(), before the check starts; a name it does not take is refused
     # before that
     taken = param in _README_PARAMS.get(check_id, set())
-    with pytest.raises(ValueError, match="invalid literal" if taken else "does not take"):
+    with pytest.raises(ValueError, match="must be an integer" if taken else "does not take"):
         next(run_check(check_id, **{param: "x"}))
+
+
+def test_run_check_names_the_check_and_parameter_of_a_value_that_is_no_integer():
+    with pytest.raises(ValueError) as raised:
+        next(run_check("density-ktree", samples="x"))
+    assert str(raised.value) == "check density-ktree: samples must be an integer, got 'x'"
 
 
 def test_run_check_reads_each_parameter_as_an_int():
@@ -344,7 +351,7 @@ def test_lemma_compk8_warns_that_n11_runs_long(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert "868,311 classes" in captured.err and "255 s" in captured.err
+    assert "868,311 classes" in captured.err and "150 s" in captured.err
     list(run_check("lemma-compk8", n=10))
     assert capsys.readouterr().err == ""
 
@@ -370,3 +377,30 @@ def test_check_coloring_bound_small():
 def test_parallel_map_workers():
     lines = list(run_check("density-premise", samples=8, workers=2))
     assert _failed(lines) == []
+
+
+def test_edge_addition_checks_recheck_their_witnesses(monkeypatch):
+    # a K7 model of one vertex per branch set is wrong in K_{2,2,2,2} plus
+    # any two of its missing edges, since one of (0,1), (2,3), (4,5) stays
+    # missing; the check must refuse it rather than count the addition
+    import triminor.verify as verify
+
+    bogus = MinorWitness(complete(7), tuple(frozenset({v}) for v in range(7)))
+    monkeypatch.setattr(verify, "has_minor", lambda g, h: bogus)
+    with pytest.raises(ValueError, match="not realised"):
+        list(run_check("k2222-two-edges"))
+
+
+def test_k22222_maximal_fails_when_the_base_has_a_k8_minor(monkeypatch):
+    # the base's own K8 query gets a record only when it finds a minor
+    import triminor.verify as verify
+
+    found = MinorWitness(complete(8), tuple(frozenset({v}) for v in range(8)))
+    real = verify.has_minor
+    monkeypatch.setattr(verify, "has_minor",
+                        lambda g, h: found if g.edge_count == 40 else real(g, h))
+    lines = list(run_check("k22222-maximal"))
+    assert [(line.input, line.verdict) for line in lines] == (
+        [("base", "fail")] + [(f"added:{[(2 * i, 2 * i + 1)]}", "pass") for i in range(5)]
+        + [("summary", "fail")])
+    assert lines[0].witness == {"branch_sets": [[v] for v in range(8)]}
