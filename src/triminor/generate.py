@@ -15,8 +15,9 @@ parent's automorphism search runs only on the augmentations it keeps; and
 a child with a tie that the cell key leaves gets one search of its own
 automorphism group, which settles every tie in the added edge's orbit and
 leaves only the others to compare by pair certificate.  The child keeps
-those generators for the next level, where, as a parent, it needs no search
-of its own.
+those generators for its own expansion, which then needs no search.  The
+stream is depth-first, each child expanded before its next sibling, so it
+holds one path of parents and their pending siblings, not an edge level.
 Orbits are walked by `canon.orbit`, the one orbit walk the apex sweeps use
 too.
 Hereditary pruning cuts whole subtrees: a predicate that can never be
@@ -172,14 +173,13 @@ def _orbit_reps(
 
 
 def _is_canonical_child(
-    g: Graph,
-    added: tuple[int, int],
-    ties: list[tuple[int, int]],
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]],
-) -> bool:
-    """Accept g iff the added edge lies in the canonical deletion orbit,
-    given that no edge of g has a smaller invariant than the added one and
-    `ties` lists the others that share it (see `_invariant_survivors`).
+    g: Graph, added: tuple[int, int], ties: list[tuple[int, int]]
+) -> tuple[bool, list[tuple[int, ...]] | None]:
+    """Whether g is accepted, that is whether the added edge lies in the
+    canonical deletion orbit, given that no edge of g has a smaller
+    invariant than the added one and `ties` lists the others that share it
+    (see `_invariant_survivors`); and, for an accepted g whose test searched
+    its automorphism group, its generators, else None.
 
     The canonical deletion edge minimises (invariant, cell key, pair
     certificate), an isomorphism-invariant key, so exactly one augmentation
@@ -189,23 +189,21 @@ def _is_canonical_child(
     shares the added edge's cell key, one search of g's automorphism group
     starts from those refined cells: the ties in the added edge's orbit
     share its pair certificate, so only the others are compared with it,
-    each by its own full pair certificate.  An accepted g leaves its
-    generators in `groups` under `g.adj`, for the step where g becomes a
-    parent.
+    each by its own full pair certificate.
     """
     if not ties:
-        return True
+        return True, None
     pos = cell_positions(g)
     key_added = sorted((pos[added[0]], pos[added[1]]))
     same = []
     for u, v in ties:
         key = sorted((pos[u], pos[v]))
         if key < key_added:
-            return False
+            return False, None
         if key == key_added:
             same.append((u, v))
     if not same:
-        return True
+        return True, None
     cells: list[list[int]] = [[] for _ in range(max(pos) + 1)]
     for v, i in enumerate(pos):
         cells[i].append(v)
@@ -215,9 +213,8 @@ def _is_canonical_child(
     if rest:
         cert_added = pair_cert(g, *added)
         if any(pair_cert(g, u, v) < cert_added for u, v in rest):
-            return False
-    groups[g.adj] = gens
-    return True
+            return False, None
+    return True, gens
 
 
 def _with_edge(g: Graph, u: int, v: int) -> Graph:
@@ -240,12 +237,12 @@ def orderly_stream(
     """All graphs on n vertices with maximum degree at most `max_degree` and
     at most `max_edges` edges (None: no cap) that pass the hereditary
     predicate `keep_after`, one per isomorphism class, in deterministic
-    level (edge count) order.
+    depth-first preorder, siblings in the order of their orbit reps.
 
     Per parent, the filters run cheapest first.  The caps are read off the
-    parent: a level at the edge cap gets no children, and only the non-edges
-    whose two ends are both below the degree cap are augmented.  The
-    invariant part of the canonical test runs on each of those, from the
+    parent: a parent at the edge cap gets no children, and only the
+    non-edges whose two ends are both below the degree cap are augmented.
+    The invariant part of the canonical test runs on each of those, from the
     parent's invariants (`_invariant_survivors`); the automorphism search
     (`_orbit_reps`) runs on what survives, and only when two or more pairs
     do, and `canon.orbit` walks its generators over the surviving pairs'
@@ -254,9 +251,9 @@ def orderly_stream(
     found: the refined-cell key, then the child's automorphism group, then
     pair certificates for the ties outside the added edge's orbit.
     `keep_after` is asked only once that accepts it.  The generators of a
-    child whose test searched its group are kept, by adjacency, until the
-    next level has been built, and `_orbit_reps` uses them in place of its
-    own search when that child is a parent.
+    child whose test searched its group stay with the child on the stack,
+    and `_orbit_reps` uses them in place of its own search when that child
+    is expanded as a parent.
     The caps and the invariant test are isomorphism-invariant, so what
     survives them is a union of orbits, and its orbit reps are those of all
     the non-edges that survive, in the same order: the order of the filters
@@ -266,34 +263,33 @@ def orderly_stream(
     empty = from_rows(n, [0] * n)
     if not keep_after(empty):
         return
-    level = [empty]
-    yield empty
-    # the generators of the level's graphs that the canonical test searched
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    while level and (max_edges is None or level[0].edge_count < max_edges):
-        nxt: list[Graph] = []
-        nxt_groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for parent in level:
-            open_ends = (1 << n) - 1
-            if max_degree is not None:
-                open_ends = sum(1 << v for v, row in enumerate(parent.adj)
-                                if row.bit_count() < max_degree)
-            non_edges = [
-                (u, v)
-                for u in bits(open_ends)
-                for v in bits(open_ends & ~parent.adj[u] & ~((2 << u) - 1))
-            ]
-            survivors = _invariant_survivors(parent, non_edges)
-            reps = list(survivors)
-            if len(reps) > 1:
-                reps = _orbit_reps(parent, reps, groups.get(parent.adj))
-            for u, v in reps:
-                child = _with_edge(parent, u, v)
-                if (_is_canonical_child(child, (u, v), survivors[u, v], nxt_groups)
-                        and keep_after(child)):
-                    nxt.append(child)
-        level, groups = nxt, nxt_groups
-        yield from level
+    # graphs to expand, each with the generators its canonical test found
+    stack: list[tuple[Graph, list[tuple[int, ...]] | None]] = [(empty, None)]
+    while stack:
+        parent, gens = stack.pop()
+        yield parent
+        if max_edges is not None and parent.edge_count >= max_edges:
+            continue
+        open_ends = (1 << n) - 1
+        if max_degree is not None:
+            open_ends = sum(1 << v for v, row in enumerate(parent.adj)
+                            if row.bit_count() < max_degree)
+        non_edges = [
+            (u, v)
+            for u in bits(open_ends)
+            for v in bits(open_ends & ~parent.adj[u] & ~((2 << u) - 1))
+        ]
+        survivors = _invariant_survivors(parent, non_edges)
+        reps = list(survivors)
+        if len(reps) > 1:
+            reps = _orbit_reps(parent, reps, gens)
+        children = []
+        for u, v in reps:
+            child = _with_edge(parent, u, v)
+            accepted, child_gens = _is_canonical_child(child, (u, v), survivors[u, v])
+            if accepted and keep_after(child):
+                children.append((child, child_gens))
+        stack.extend(reversed(children))
 
 
 def generate(spec: GenSpec) -> Iterator[Graph]:

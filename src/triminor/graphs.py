@@ -28,9 +28,6 @@ class Graph:
     def min_degree(self) -> int:
         return min(self.adj[v].bit_count() for v in range(self.n))
 
-    def max_degree(self) -> int:
-        return max(self.adj[v].bit_count() for v in range(self.n))
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 

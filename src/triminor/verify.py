@@ -535,7 +535,8 @@ def run_check(check_id: str, **params) -> Iterator[ReportLine]:
                 f"check {check_id}: {name} must be an integer, got {value!r}") from None
     for name in ("samples", "workers"):
         if params.get(name, 1) < 1:
-            raise ValueError(f"{name} must be at least 1, got {params[name]}")
+            raise ValueError(
+                f"check {check_id}: {name} must be at least 1, got {params[name]}")
     t0 = time.monotonic()
     records = check(**params)
     failed = False

@@ -8,6 +8,8 @@ search routines it checks.
 from __future__ import annotations
 
 import itertools
+from functools import cache
+from math import comb, prod
 
 from triminor.graphs import Graph, contract_edge, from_rows, make_graph
 
@@ -236,3 +238,113 @@ def graph_from_code(n: int, code: int) -> Graph:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     return from_rows(n, rows)
+
+
+def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(perm)
+    for x, y in enumerate(perm):
+        inv[y] = x
+    return tuple(inv)
+
+
+def group_order(n: int, gens) -> int:
+    """The order of the permutation group on range(n) that `gens` generate
+    (perm[v] is the image of v), by a plain deterministic Schreier-Sims
+    (Sims 1970; Seress, *Permutation Group Algorithms*, 2003): grow a base
+    and a strong generating set until every Schreier generator sifts to the
+    identity, then multiply the basic orbit lengths."""
+    identity = tuple(range(n))
+    base: list[int] = []
+    strong: list[tuple[int, ...]] = []
+
+    def add(h):
+        strong.append(h)
+        if all(h[b] == b for b in base):
+            base.append(next(x for x in range(n) if h[x] != x))
+
+    def levels():
+        """Per base point: the strong generators fixing the points before
+        it, and its orbit under them, each point mapped to a permutation
+        that takes the base point there."""
+        out = []
+        for i, b in enumerate(base):
+            level = [s for s in strong if all(s[c] == c for c in base[:i])]
+            trans = {b: identity}
+            queue = [b]
+            for x in queue:
+                for s in level:
+                    if s[x] not in trans:
+                        trans[s[x]] = tuple(s[y] for y in trans[x])
+                        queue.append(s[x])
+            out.append((b, level, trans))
+        return out
+
+    def sift(h, chain):
+        for b, _, trans in chain:
+            t = trans.get(h[b])
+            if t is None:
+                break
+            inv = _inverse(t)
+            h = tuple(inv[y] for y in h)
+        return h
+
+    def schreier_generators(chain):
+        for b, level, trans in chain:
+            for t in trans.values():
+                for s in level:
+                    st = tuple(s[y] for y in t)
+                    inv = _inverse(trans[st[b]])
+                    yield tuple(inv[y] for y in st)
+
+    for g in gens:
+        if tuple(g) != identity:
+            add(tuple(g))
+    while True:
+        chain = levels()
+        residues = (sift(h, chain) for h in schreier_generators(chain))
+        h = next((h for h in residues if h != identity), None)
+        if h is None:
+            return prod(len(trans) for _, _, trans in chain)
+        add(h)
+
+
+def labelled_graph_counts(n: int, max_degree: int | None = None) -> list[int]:
+    """The labelled graphs on range(n) with maximum degree at most
+    `max_degree` (None: any), by edge count: entry m counts those with m
+    edges.  Unconstrained, that is C(C(n, 2), m).  Under a degree cap it is
+    a dynamic programme over the multiset of residual degrees: a vertex of
+    largest residual degree picks how many neighbours it gets from each
+    residual class, weighted by the binomial number of ways to pick them,
+    and leaves."""
+    pairs = comb(n, 2)
+    if max_degree is None:
+        return [comb(pairs, m) for m in range(pairs + 1)]
+    size = min(pairs, n * max_degree // 2) + 1
+
+    @cache
+    def count(classes: tuple[int, ...]) -> tuple[int, ...]:
+        # classes[c]: how many vertices have residual degree c; classes[0]
+        # is kept 0, since a vertex with no room left takes no edge
+        out = [0] * size
+        top = max((c for c, k in enumerate(classes) if k), default=0)
+        if top == 0:
+            out[0] = 1
+            return tuple(out)
+        rest = list(classes)
+        rest[top] -= 1
+        for picks in itertools.product(*(range(min(k, top) + 1) for k in rest)):
+            edges = sum(picks)
+            if edges > top:
+                continue
+            after = [k - j for k, j in zip(rest, picks)]
+            for c, j in enumerate(picks[1:], 1):
+                after[c - 1] += j
+            after[0] = 0
+            weight = prod(comb(k, j) for k, j in zip(rest, picks))
+            for m, x in enumerate(count(tuple(after))[:size - edges]):
+                out[m + edges] += weight * x
+        return tuple(out)
+
+    start = [0] * (max_degree + 1)
+    start[max_degree] = n
+    return list(count(tuple(start)))

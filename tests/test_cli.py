@@ -323,6 +323,8 @@ def test_summary_carries_the_whole_checks_time_under_timing(monkeypatch, capsys)
 # --n 10 was re-captured when the cell-key tie-break of the canonical test
 # changed which representatives generation emits: matched by canonical
 # certificate, every record's verdict and witness stayed the same.
+# --n 9 and --n 10 were re-captured when the stream became depth-first,
+# which reorders the records: their sorted lines stayed the same.
 # --n 9 exits 1 on the complement of C3+C6 (acceptance criterion 7); --n 10
 # takes 2-3 s on a 2-core machine
 @pytest.mark.parametrize("n, code, lines, digest", [
@@ -330,10 +332,10 @@ def test_summary_carries_the_whole_checks_time_under_timing(monkeypatch, capsys)
         "8", 0, 3, "20857b3c59bfc926be941d83d5246071a0399a30ea550b7577de99ccae506cd8",
         id="n8"),
     pytest.param(
-        "9", 1, 19, "819b7215c2464aa4c94582debac8daea9f9ff015fc5cc59de7760e8d2375b0f5",
+        "9", 1, 19, "34650c94324c5e1065d27347bbb7b8f74a4bce128c6fe28d325516ed5e00b516",
         id="n9"),
     pytest.param(
-        "10", 0, 123, "365e68c04fdefb11b8b16e6af465292cbe0160e79f03686cd305da222254d654",
+        "10", 0, 123, "6a3fb71ce8884dafc702099a35363b90efe4e36ca795aeb2584a8c5ce604f299",
         id="n10", marks=pytest.mark.slow),
 ])
 def test_lemma_compk8_records_are_pinned(n, code, lines, digest, capsys):
@@ -348,9 +350,10 @@ def test_lemma_compk8_records_are_pinned(n, code, lines, digest, capsys):
 # lemma-compk7 (all 23 corpus graphs) and coloring-bound were captured
 # before the partition search had its edge-count bound, the others before
 # run_check made every check's records.  list22-r7 exits 1 on its 23
-# classes (acceptance criterion 1).  lemma-compk7, density-premise and
-# coloring-bound take 0.5-1 s each on a 2-core machine, the other nine
-# 0.3 s together.
+# classes (acceptance criterion 1); its witness lists them in stream
+# order, and was re-captured when the stream became depth-first, with the
+# same sorted list.  lemma-compk7, density-premise and coloring-bound take
+# 0.5-1 s each on a 2-core machine, the other nine 0.3 s together.
 @pytest.mark.parametrize("check, code, lines, digest", [
     pytest.param(
         "lemma-compk7", 0, 24,
@@ -366,7 +369,7 @@ def test_lemma_compk8_records_are_pinned(n, code, lines, digest, capsys):
         id="wheels-r6"),
     pytest.param(
         "list22-r7", 1, 2,
-        "ba1c3e2cbff95846c3f2dced44721170b227c7450973cc062fed5c48eeec860b",
+        "15c13b5f736b0f181d3dfd45fd8bad062c84cd92b79ad1a1d0a3d28a7334c9f7",
         id="list22-r7"),
     pytest.param(
         "lemma-numberk7", 0, 24,

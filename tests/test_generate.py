@@ -1,13 +1,20 @@
 import hashlib
 import random
 import sys
+from math import factorial
 
 import pytest
 
 import triminor.canon as canon
 import triminor.generate as gen_module
-from oracles import all_graphs_on, random_graph_for_tests
-from triminor.canon import canonical_cert, cell_positions, is_isomorphic, pair_cert
+from oracles import all_graphs_on, group_order, labelled_graph_counts, random_graph_for_tests
+from triminor.canon import (
+    automorphisms,
+    canonical_cert,
+    cell_positions,
+    is_isomorphic,
+    pair_cert,
+)
 from triminor.generate import (
     GenSpec,
     _invariant_survivors,
@@ -149,6 +156,50 @@ def test_no_duplicate_certs():
         assert len(certs) == len(set(certs))
 
 
+def test_group_order_oracle_counts_every_automorphism():
+    # the Schreier-Sims order of the generators against a count of every
+    # vertex permutation that keeps the adjacency, on each 6-vertex class
+    from itertools import permutations
+
+    for g in orderly_stream(6):
+        brute = sum(
+            1 for p in permutations(range(6))
+            if all(bool(g.adj[p[u]] >> p[v] & 1) == g.has_edge(u, v)
+                   for u in range(6) for v in range(u + 1, 6))
+        )
+        assert group_order(6, automorphisms(g, [list(range(6))])) == brute, g.adj
+
+
+@pytest.mark.parametrize("n, max_degree", [(n, None) for n in range(1, 9)] + [
+    (9, 3), (10, 3), pytest.param(10, 4, marks=pytest.mark.slow)])
+def test_stream_weighs_up_to_every_labelled_graph(n, max_degree):
+    # orbit-stabiliser: a class G has n!/|Aut(G)| labellings, so the classes
+    # with m edges, weighed that way, count the labelled graphs with m
+    # edges whatever the representatives and their order; a missing or
+    # repeated class, or an incomplete automorphism group, breaks it.  The
+    # unmarked ones take about 4 s together on a 2-core machine, 2.5 s of
+    # it at n = 8; the slow one, the `gen --n 10 --min-degree 5` stream's
+    # complement side, 16 s
+    weighed = [0] * len(labelled_graph_counts(n, max_degree))
+    for g in orderly_stream(n, max_degree=max_degree):
+        weighed[g.edge_count] += factorial(n) // group_order(n, automorphisms(g, [list(range(n))]))
+    assert weighed == labelled_graph_counts(n, max_degree)
+
+
+@pytest.mark.parametrize("n, max_degree", [(7, None), (9, 3)])
+def test_stream_is_depth_first(n, max_degree):
+    # in preorder the latest graph with one edge fewer is g's parent, so g
+    # less one of its edges up to isomorphism
+    latest = {}
+    for g in orderly_stream(n, max_degree=max_degree):
+        if g.edge_count:
+            parent = canonical_cert(latest[g.edge_count - 1])
+            edges = g.edges()
+            assert any(canonical_cert(make_graph(n, [e for e in edges if e != uv])) == parent
+                       for uv in edges), g.adj
+        latest[g.edge_count] = g
+
+
 def _edge_invariant(g, u, v):
     """Reference: the invariant of the canonical deletion key, (smaller
     degree, larger degree, common neighbours) of u and v."""
@@ -200,8 +251,8 @@ def test_canonical_child_test_matches_reference_on_every_child():
     # edges away from the added edge or those at its ends; only the 9-vertex
     # ones have a tie with the added edge's cell key outside its orbit (in
     # C4 + C5, every edge has one cell key), which the group search alone
-    # cannot settle; an accepted child's generators, kept for it as a
-    # parent, give the orbit reps its own search gives
+    # cannot settle; the generators returned with an accepted child, kept
+    # for it as a parent, give the orbit reps its own search gives
     for n, max_degree, expected in ((6, None, 1170), (7, None, 10962), (9, 2, 2106)):
         accepted = checked = kept = 0
         for parent in orderly_stream(n, max_degree=max_degree):
@@ -211,14 +262,14 @@ def test_canonical_child_test_matches_reference_on_every_child():
                         continue
                     child = _with_edge(parent, u, v)
                     ties = _invariant_survivors(parent, [(u, v)]).get((u, v))
-                    groups = {}
-                    mine = ties is not None and _is_canonical_child(child, (u, v), ties, groups)
+                    mine, gens = (False, None) if ties is None else (
+                        _is_canonical_child(child, (u, v), ties))
                     assert mine == _is_canonical_child_by_min(child, (u, v)), (child.adj, u, v)
-                    if groups:
-                        assert mine and list(groups) == [child.adj]
+                    if gens is not None:
+                        assert mine
                         non_edges = [(a, b) for a in range(n) for b in range(a + 1, n)
                                      if not child.has_edge(a, b)]
-                        assert (_orbit_reps(child, non_edges, groups[child.adj])
+                        assert (_orbit_reps(child, non_edges, gens)
                                 == _orbit_reps(child, non_edges, None)), child.adj
                         kept += 1
                     accepted += mine
@@ -367,21 +418,23 @@ def test_parent_automorphism_search_only_on_invariant_survivors(
 # (--n 9 --min-degree 5, --n 10 --min-degree 6 --prune K7); a canon or
 # generation change that emits other representatives, or the same ones in
 # another order, must re-capture them on purpose, and keep the class-set
-# pins below; the two marked slow take about 2 s each on a 2-core machine
+# pins below; re-captured when the stream became depth-first, with the
+# sorted lines unchanged; the two marked slow take about 2 s each on a
+# 2-core machine
 @pytest.mark.parametrize("spec, lines, digest", [
     pytest.param(
-        GenSpec(7), 1044, "ea63e4b9d109e2f1cde720cf6ebfa20d87ca95fa99695ab97c49347032a792dc",
+        GenSpec(7), 1044, "68346e32fc8085f83ed6f4f72fffa29e842eeba1ca015801ddce3ca2d4477c00",
         id="n7"),
     pytest.param(
         GenSpec(9, min_degree=5), 1165,
-        "ed7862bd1a1e8c8c52ac25ec14466bbb3536b3dcdac557cadcce14c55db4c72f",
+        "a6b593b97a3e1f330710ec54748a53a8423d998beba4d7c1a6af83778a07674f",
         id="n9-mindeg5"),
     pytest.param(
-        GenSpec(8), 12346, "c2f13ca7017cebcb1e8af656f633891b7ff617ea31d78598b2b8c28e8bdd7f58",
+        GenSpec(8), 12346, "438f43144c08931886df4258dfbeea64774124f918263755f1fb04586b5f8f0d",
         id="n8", marks=pytest.mark.slow),
     pytest.param(
         GenSpec(10, min_degree=6, prune="K7"), 122,
-        "abe9ef53957a980c31e1de2b892571f5fb16108b2f4e1995380924f1e80ab997",
+        "419fc43f4e576004edc7fc7fded49cd89102cbea7e87b0b3f87b55fbf34fc184",
         id="n10-mindeg6-K7", marks=pytest.mark.slow),
 ])
 def test_gen_stream_is_pinned(spec, lines, digest):
@@ -491,8 +544,9 @@ def test_direct_side_pruning_asks_the_kernel_once_per_class(monkeypatch):
     # the edge cap comes before the canonical test and the kernel after it,
     # so each class is asked about once, where asking before the test asked
     # once per augmentation orbit (5,918 calls here); same stream either way.
-    # A change of representatives re-captures the hash; the class set is
-    # pinned by test_gen_class_set_is_pinned[n7-K5]
+    # A change of representatives or of their order re-captures the hash
+    # (last when the stream became depth-first); the class set is pinned by
+    # test_gen_class_set_is_pinned[n7-K5]
     asked = []
 
     def counting(g, r):
@@ -502,7 +556,7 @@ def test_direct_side_pruning_asks_the_kernel_once_per_class(monkeypatch):
     monkeypatch.setattr(gen_module, "kr_minor_verdict", counting)
     text = "".join(write_graph6(g) + "\n" for g in generate(GenSpec(7, prune="K5")))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "7c202e3e592edd735b20a8b95ca5620b503e1e0dee63c7551ad03b7c40ce0352"
+        "189d97450b6adb85f1b854508c1a409b3825e1f626441a2a54e4191b57b5b640"
     )
     assert text.count("\n") == 869
     assert len(asked) == len(set(asked)) == 922

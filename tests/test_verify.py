@@ -256,6 +256,14 @@ def test_run_check_names_the_check_and_parameter_of_a_value_that_is_no_integer()
     assert str(raised.value) == "check density-ktree: samples must be an integer, got 'x'"
 
 
+@pytest.mark.parametrize("check_id, param", [("density-ktree", "samples"),
+                                             ("density-premise", "workers")])
+def test_run_check_names_the_check_and_parameter_of_a_count_below_one(check_id, param):
+    with pytest.raises(ValueError) as raised:
+        next(run_check(check_id, **{param: 0}))
+    assert str(raised.value) == f"check {check_id}: {param} must be at least 1, got 0"
+
+
 def test_run_check_reads_each_parameter_as_an_int():
     as_text = [replace(r, millis=0) for r in run_check("density-ktree", samples="15")]
     as_int = [replace(r, millis=0) for r in run_check("density-ktree", samples=15)]
