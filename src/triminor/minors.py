@@ -21,8 +21,12 @@ to hold the parts still to place: a spanning tree in each and an edge
 between each pair.  The bound is necessary for any completion, so it cuts
 only branches that fail anyway, and the first model found is the same with
 or without it.  No verdict is cached: the sweeps that ask the kernel no
-longer ask about one class twice.  Hosts stay at or below 16 vertices,
-where these exhaustive searches are fast.
+longer ask about one class twice.  The apex sweep asks only about apex
+subsets that its earlier answers do not settle: it grows every subset the
+kernel finds minor-free into a maximal one, and a minor persists when the
+subset grows, so the images of those maximal subsets answer all their
+subsets.  Hosts stay at or below 16 vertices, where these exhaustive
+searches are fast.
 """
 
 from __future__ import annotations
@@ -479,16 +483,48 @@ def apex_augment_check(
     all vertices of g); subsets follow its order.
 
     A minor for S persists for every superset, so the survivors are closed
-    downward: a k-subset is asked about only when all its (k-1)-subsets
+    downward: the walk takes a k-subset only when all its (k-1)-subsets
     survived.  An automorphism of g that keeps the universe maps S to a
-    subset with the same verdict, so one query answers S's whole orbit.
+    subset with the same verdict.  So a subset inside an image of a set
+    known to have no minor has none, and one holding an image of a set
+    known to have a minor has one; the kernel is asked only about the
+    rest, never twice about one set.  When it finds no minor for S, S is
+    grown to a maximal such set M of at most k_max vertices: each candidate
+    outside it, in universe order, is kept while the set stays minor-free.
+    The images of M then answer every subset of them with no query (the
+    maximal negatives of Dualize and Advance: Gunopulos et al., ACM TODS
+    28, 2003).  The known sets are kept as lists of masks, not expanded.
     """
     if g.n + 1 > EXHAUSTIVE_HOST_LIMIT:
         raise ValueError(f"augmented host would exceed {EXHAUSTIVE_HOST_LIMIT} vertices")
     universe = tuple(range(g.n)) if candidates is None else tuple(candidates)
     rest = [v for v in range(g.n) if v not in universe]
     gens = automorphisms(g, [c for c in (list(universe), rest) if c])
-    verdicts: dict[int, bool] = {}
+    free: list[int] = []  # images of maximal sets with no minor
+    minor: list[int] = []  # images of sets asked about that have a minor
+
+    def has_minor_at(mask: int, grow: bool = True) -> bool:
+        # the known sets first, then the kernel; a step of a growth
+        # (grow=False) records no minor-free set, since the grown one holds it
+        for m in free:
+            if not mask & ~m:
+                return False
+        for m in minor:
+            if not m & ~mask:
+                return True
+        if kr_minor_verdict(attach_vertex(g, bits(mask)), r):
+            minor.extend(orbit(mask, gens))
+            return True
+        if grow:
+            size = mask.bit_count()
+            for v in universe:
+                if (size < k_max and not mask >> v & 1
+                        and not has_minor_at(mask | 1 << v, grow=False)):
+                    mask |= 1 << v
+                    size += 1
+            free.extend(orbit(mask, gens))
+        return False
+
     survivors: dict[int, list[tuple[int, ...]]] = {}
     alive: dict[int, tuple[int, ...]] = {0: ()}
     for k in range(1, k_max + 1):
@@ -497,11 +533,7 @@ def apex_augment_check(
             mask = sum(1 << v for v in subset)
             if any(mask ^ (1 << v) not in alive for v in subset):
                 continue
-            found = verdicts.get(mask)
-            if found is None:
-                found = kr_minor_verdict(attach_vertex(g, subset), r)
-                verdicts.update(dict.fromkeys(orbit(mask, gens), found))
-            if not found:
+            if not has_minor_at(mask):
                 level[mask] = subset
         if not level:
             break

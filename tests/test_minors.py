@@ -269,11 +269,11 @@ def _double_apex_all_subsets(h, r):
     return None
 
 
-def test_apex_augment_matches_all_subsets_sweep():
-    # hosts shaped like lemma-compk7's (a dominating vertex outside the
-    # candidates, twin with one inside for K_{1,2,2,2}), hosts with large
-    # automorphism groups, universes that break their symmetry, and random
-    # hosts; the levels and the order inside each must match the reference
+def _apex_sweep_cases():
+    """(g, k_max, r, candidates): hosts shaped like lemma-compk7's (a
+    dominating vertex outside the candidates, twin with one inside for
+    K_{1,2,2,2}), hosts with large automorphism groups, universes that
+    break their symmetry, and random hosts."""
     octahedron = complete_multipartite(2, 2, 2)
     k1222 = attach_vertex(octahedron, range(6))
     wheel = double_axle_wheel(5)
@@ -292,14 +292,56 @@ def test_apex_augment_matches_all_subsets_sweep():
         g = random_graph_for_tests(n, rng, p=rng.uniform(0.3, 0.8))
         universe = sorted(rng.sample(range(n), rng.randint(n - 3, n)))
         cases.append((g, rng.randint(2, 5), rng.randint(5, 7), tuple(universe)))
+    return cases
+
+
+def test_apex_augment_matches_all_subsets_sweep():
+    # the levels and the order inside each must match the reference
     levels = 0
-    for g, k_max, r, candidates in cases:
+    for g, k_max, r, candidates in _apex_sweep_cases():
         mine = apex_augment_check(g, k_max, r, candidates)
         assert list(mine.items()) == list(
             _apex_augment_all_subsets(g, k_max, r, candidates).items()
         ), (g.adj, k_max, r, candidates)
         levels += len(mine)
     assert levels > 40
+
+
+def test_apex_sweep_never_asks_what_it_can_answer(monkeypatch):
+    # a minor persists when the apex subset grows, and an automorphism that
+    # keeps the candidates keeps verdicts: so a set inside an image of an
+    # earlier "no minor", or holding an image of an earlier "minor", is
+    # already answered, and the sweep must not ask the kernel about it
+    asked = []
+
+    def recording(aug, r):
+        verdict = kr_minor_verdict(aug, r)
+        asked.append((aug.adj[aug.n - 1], verdict))  # the apex row is S
+        return verdict
+
+    monkeypatch.setattr(minors, "kr_minor_verdict", recording)
+    cases = _apex_sweep_cases() + [
+        (attach_vertex(g, range(g.n)), 6, 7, tuple(range(g.n)))
+        for g in load_corpus() if g.n <= 8
+    ]
+    assert len(cases) == 31 + 6
+    queries = 0
+    for g, k_max, r, candidates in cases:
+        universe = tuple(range(g.n)) if candidates is None else candidates
+        rest = [v for v in range(g.n) if v not in universe]
+        gens = canon.automorphisms(g, [c for c in (list(universe), rest) if c])
+        asked.clear()
+        apex_augment_check(g, k_max, r, candidates)
+        allowed = sum(1 << v for v in universe)
+        answered = []  # (image, verdict) of every earlier answer
+        for mask, verdict in asked:
+            assert not mask & ~allowed and mask.bit_count() <= k_max
+            for image, found in answered:
+                settled = not image & ~mask if found else not mask & ~image
+                assert not settled, (g.adj, mask, image, found)
+            answered.extend((image, verdict) for image in canon.orbit(mask, gens))
+        queries += len(asked)
+    assert queries > 600
 
 
 def test_double_apex_matches_all_subsets_sweep():

@@ -9,7 +9,7 @@ import pytest
 
 from oracles import kr_minor_brute
 from triminor.canon import canonical_cert
-from triminor.graph6 import parse_graph6
+from triminor.graph6 import parse_graph6, write_graph6
 from triminor.graphs import (
     complete,
     complete_multipartite,
@@ -184,7 +184,7 @@ def test_check_compk8_n9_reports_known_failure():
 
 
 def test_swept_check_records_carry_their_elapsed_time(monkeypatch):
-    # a 9-vertex corpus graph whose sweep takes about 60 ms, so that its
+    # a 9-vertex corpus graph whose sweep takes about 26 ms, so that its
     # record cannot round down to 0 ms; each record times its own sweep
     import triminor.verify as verify
 
@@ -344,10 +344,30 @@ def test_compk7_apex_frontier_pinned_by_contraction_oracle():
     assert _pin_compk7_frontier(small) == (66, 34)
 
 
+def test_compk7_sweeps_kernel_queries_are_pinned(monkeypatch):
+    # the 23 sweeps as lemma-compk7 runs them.  Each subset found minor-free
+    # is grown to a maximal one, whose images answer all their subsets: 678
+    # queries (596 without a minor) when only the walk's own subsets and
+    # their images were answered, 489 (297) now
+    import triminor.minors as minors
+    import triminor.verify as verify
+
+    verdicts = []
+
+    def counting(g, r):
+        verdicts.append(kr_minor_verdict(g, r))
+        return verdicts[-1]
+
+    monkeypatch.setattr(minors, "kr_minor_verdict", counting)
+    for g in load_corpus():
+        verify._compk7_survivors(write_graph6(g))
+    assert (len(verdicts), verdicts.count(False)) == (489, 297)
+
+
 @pytest.mark.slow
 def test_compk7_apex_frontier_pinned_on_the_whole_corpus():
     # the 17 corpus graphs on 9 vertices add 204 maximal survivors, each a
-    # contraction-oracle run on 11 vertices: about 94 s on a 2-core machine
+    # contraction-oracle run on 11 vertices: about 35 s on a 2-core machine
     assert _pin_compk7_frontier(load_corpus()) == (270, 200)
 
 
