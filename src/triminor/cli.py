@@ -10,6 +10,11 @@ follow records already written, 141 (as for a process ended by SIGPIPE)
 when the reader closes stdout early, as `| head` does, with no message.
 Timing fields are zeroed unless --timing is given, so identical
 invocations are byte-identical.
+
+A call loads and compiles only what it runs.  So a subcommand, or a
+check, imports a module that only it uses (generation, colouring,
+rigidity) inside its own function, never at the top of a module that every
+call imports.
 """
 
 from __future__ import annotations
@@ -21,13 +26,10 @@ from collections.abc import Iterator
 from contextlib import ExitStack
 from pathlib import Path
 
-from .coloring import chromatic_number
-from .generate import PRUNE_IDS, GenSpec, generate, generate_count
 from .graph6 import parse_corpus, parse_graph6, read_corpus, write_graph6
 from .graphs import Graph, complete, min_triangle_edge
-from .minors import EXHAUSTIVE_HOST_LIMIT, has_minor
+from .minors import EXHAUSTIVE_HOST_LIMIT, PRUNE_IDS, has_minor
 from .reports import ReportLine, emit_report
-from .rigidity import stress_space_dim
 from .verify import CHECK_IDS, density_verdict, run_check
 
 EXIT_READER_GONE = 128 + 13  # 128 + SIGPIPE, the status a shell reports
@@ -101,6 +103,9 @@ def _cmd_gen(args) -> Iterator[ReportLine]:
     """Count, or write each graph6 line as it is generated, so an
     interrupted run keeps what it has written.  `--out` is opened at the
     first graph, so a run that generates none leaves it untouched."""
+    # imported here so that a call that runs no generation never loads it
+    from .generate import GenSpec, generate, generate_count
+
     if args.count_only and args.out:
         raise ValueError("gen --count-only writes no corpus, so it takes no --out")
     spec = GenSpec(args.n, args.min_degree, args.prune, args.max_edges)
@@ -154,6 +159,9 @@ def _cmd_triangles(args, g: Graph) -> dict:
 
 @_per_graph
 def _cmd_rigidity(args, g: Graph) -> dict:
+    # imported here so that no other subcommand loads it
+    from .rigidity import stress_space_dim
+
     v = stress_space_dim(g, args.d, seed=args.seed, trials=args.trials)
     return {"verdict": v.verdict, "dim": v.dim, "trials": v.trials,
             "prime": v.prime, "error_bound": v.error_bound}
@@ -161,6 +169,9 @@ def _cmd_rigidity(args, g: Graph) -> dict:
 
 @_per_graph
 def _cmd_chroma(args, g: Graph) -> dict:
+    # imported here so that no other subcommand loads it
+    from .coloring import chromatic_number
+
     r = chromatic_number(g)
     return {"chi": r.chi, "coloring": list(r.coloring)}
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cliques import max_clique
 from .graphs import Graph, bits
@@ -10,8 +10,7 @@ from .graphs import Graph, bits
 EXACT_COLORING_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class ChromaticResult:
+class ChromaticResult(NamedTuple):
     """Exact chromatic number with one optimal proper colouring."""
 
     chi: int

@@ -33,49 +33,56 @@ usually far smaller.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .canon import automorphisms, cell_positions, orbit, pair_cert
 from .graphs import Graph, bits, complement, from_rows, mader_edge_cap
-from .minors import EXHAUSTIVE_HOST_LIMIT, kr_minor_verdict
-
-PRUNE_IDS = ("none", "K4", "K5", "K6", "K7", "K8")
+from .minors import EXHAUSTIVE_HOST_LIMIT, PRUNE_IDS, kr_minor_verdict
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class _GenFields(NamedTuple):
+    n: int
+    min_degree: int = 0
+    prune: str = "none"
+    max_edges: int | None = None
+
+
+class GenSpec(_GenFields):
     """Declarative enumeration job.
 
     min_degree applies to completed (emitted) graphs; prune is a hereditary
     predicate id; max_edges an optional cap on emitted edge counts.
     """
 
-    n: int
-    min_degree: int = 0
-    prune: str = "none"
-    max_edges: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.prune not in PRUNE_IDS:
-            raise ValueError(f"unknown prune id {self.prune!r}, have {PRUNE_IDS}")
-        if not 1 <= self.n <= 64:
-            raise ValueError(f"n={self.n} outside 1..64")
-        if self.max_edges is not None and self.max_edges < 0:
-            raise ValueError(f"max_edges {self.max_edges} is negative")
-        if self.min_degree < 0:
-            raise ValueError(f"min_degree {self.min_degree} is negative")
-        if self.min_degree >= self.n:
-            raise ValueError(f"min_degree {self.min_degree} infeasible for n={self.n}")
-        if self.prune != "none" and self.n > EXHAUSTIVE_HOST_LIMIT:
+    def __new__(cls, n: int, min_degree: int = 0, prune: str = "none",
+                max_edges: int | None = None):
+        if prune not in PRUNE_IDS:
+            raise ValueError(f"unknown prune id {prune!r}, have {PRUNE_IDS}")
+        if not 1 <= n <= 64:
+            raise ValueError(f"n={n} outside 1..64")
+        if max_edges is not None and max_edges < 0:
+            raise ValueError(f"max_edges {max_edges} is negative")
+        if min_degree < 0:
+            raise ValueError(f"min_degree {min_degree} is negative")
+        if min_degree >= n:
+            raise ValueError(f"min_degree {min_degree} infeasible for n={n}")
+        if prune != "none" and n > EXHAUSTIVE_HOST_LIMIT:
             raise ValueError(
                 f"minor-pruned generation capped at n={EXHAUSTIVE_HOST_LIMIT}"
             )
-        if self.prune == "none" and self.max_edges is None and self.n > 10:
-            if self.min_degree < self.n - 5:
+        if prune == "none" and max_edges is None and n > 10:
+            if min_degree < n - 5:
                 raise ValueError(
                     "unconstrained generation beyond n=10 needs an edge cap"
                 )
+        return super().__new__(cls, n, min_degree, prune, max_edges)
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through this, so a replaced spec is checked too
+        return cls(*iterable)
 
     def prune_order(self) -> int | None:
         return None if self.prune == "none" else int(self.prune[1:])

@@ -8,14 +8,13 @@ popcount operations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 MAX_VERTICES = 64
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph on vertices 0..n-1 with bitmask adjacency rows."""
 
     n: int
@@ -185,8 +184,7 @@ def total_triangles(g: Graph) -> int:
     return acc // 3
 
 
-@dataclass(frozen=True)
-class EdgeTriangleReport:
+class EdgeTriangleReport(NamedTuple):
     """Per-edge triangle counts over qualifying edges, plus the minimizing edge."""
 
     counts: tuple[tuple[tuple[int, int], int], ...]

@@ -31,19 +31,21 @@ searches are fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .canon import automorphisms, orbit
 from .cliques import has_clique
 from .graphs import Graph, bits, from_rows, mader_edge_cap
 
 EXHAUSTIVE_HOST_LIMIT = 16
+# the prune ids `generate.GenSpec` takes, kept here so that the CLI's parser
+# can offer them without importing `generate`
+PRUNE_IDS = ("none", "K4", "K5", "K6", "K7", "K8")
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(NamedTuple):
     """Branch-set model: branch_sets[i] realises pattern vertex i."""
 
     pattern: Graph

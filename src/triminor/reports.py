@@ -9,23 +9,32 @@ verdict, witness, millis.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class ReportLine:
+class _ReportFields(NamedTuple):
     check: str
     input: str
     verdict: str  # "pass" | "fail" | "witness"
     witness: object = None
     millis: int = 0
 
-    def __post_init__(self):
-        if self.verdict not in ("pass", "fail", "witness"):
-            raise ValueError(f"bad verdict {self.verdict!r}")
-        if self.verdict == "fail" and self.witness is None:
+
+class ReportLine(_ReportFields):
+    __slots__ = ()
+
+    def __new__(cls, check: str, input: str, verdict: str,
+                witness: object = None, millis: int = 0):
+        if verdict not in ("pass", "fail", "witness"):
+            raise ValueError(f"bad verdict {verdict!r}")
+        if verdict == "fail" and witness is None:
             raise ValueError("fail verdicts must carry a witness payload")
+        return super().__new__(cls, check, input, verdict, witness, millis)
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through this, so a replaced record is checked too
+        return cls(*iterable)
 
     def to_json(self, timing: bool = False) -> str:
         return json.dumps(

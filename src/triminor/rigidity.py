@@ -13,15 +13,14 @@ only drop on special position.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, contract_edge
 
 PRIME = (1 << 61) - 1  # Mersenne prime; coordinates are sampled mod this
 
 
-@dataclass(frozen=True)
-class StressVerdict:
+class StressVerdict(NamedTuple):
     verdict: str  # "stress-free" | "stressed"
     dim: int
     trials: int

@@ -13,19 +13,16 @@ keeps the records it has made.
 
 from __future__ import annotations
 
-import inspect
 import random
 import sys
 import time
 from collections.abc import Generator, Iterator
-from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .canon import canonical_cert, is_isomorphic
-from .coloring import chromatic_number
-from .generate import GenSpec, generate
 from .graph6 import parse_corpus, parse_graph6, write_graph6
 from .graphs import (
     Graph,
@@ -66,8 +63,7 @@ def load_corpus() -> list[Graph]:
 # Triangle-density verdicts
 
 
-@dataclass(frozen=True)
-class DensityVerdict:
+class DensityVerdict(NamedTuple):
     premise: bool
     conclusion: bool
     triangles: int
@@ -157,6 +153,9 @@ Check = Generator[tuple[str, bool, object, int], None, tuple[str, bool, object]]
 def _check_wheels_r6() -> Check:
     """Graphs on 6..7 vertices, min degree 4, no K5-minor: exactly the two
     double-axle wheels, each with 3n-6 edges and every edge in 2 triangles."""
+    # imported here so that a call that runs no generation never loads it
+    from .generate import GenSpec, generate
+
     found = []
     for n in (6, 7):
         found.extend(generate(GenSpec(n, min_degree=4, prune="K5")))
@@ -180,6 +179,9 @@ def _check_list22_r7() -> Check:
     exact predicate yields 23 (the extra class is the 7-vertex octahedron
     plus dominating vertex), so the count record reports honestly.
     """
+    # imported here so that a call that runs no generation never loads it
+    from .generate import GenSpec, generate
+
     t0 = time.monotonic()
     regenerated: list[Graph] = []
     for n in range(6, 10):
@@ -284,6 +286,9 @@ def _check_lemma_compk8(n: int = 8, workers: int = 1) -> Check:
     most one vertex with every incident edge in exactly 5 triangles, and pass
     the double-apex augmentation.  Exceptional graphs must have every edge in
     fewer than 5 triangles."""
+    # imported here so that a call that runs no generation never loads it
+    from .generate import GenSpec, generate
+
     if n not in (8, 9, 10, 11):
         raise ValueError(f"lemma-compk8 takes n in 8..11, got {n}")
     if n == 11:
@@ -461,6 +466,9 @@ def _check_density_premise(seed: int = 0, samples: int = 1000, workers: int = 1)
 
 
 def _coloring_sample(args: tuple[int, int, int]) -> tuple[int, str, int]:
+    # imported here so that a call that colours nothing never loads it
+    from .coloring import chromatic_number
+
     r, bound, seed = args
     rng = random.Random(seed)
     g = random_kr_minor_free(r, rng, n_max=14)
@@ -516,15 +524,16 @@ def run_check(check_id: str, **params) -> Iterator[ReportLine]:
     """Run one named check, yielding its report records as they are made;
     the parameters are checked when the first record is asked for.
 
-    The check's signature is its parameter list: a name it does not list is
-    refused, and each value is read as an int.  The check's final record
-    comes last: it fails when an earlier record failed, and carries the
-    whole check's millis, generation included.
+    The check's signature, read off its code object, is its parameter list:
+    a name it does not list is refused, and each value is read as an int.
+    The check's final record comes last: it fails when an earlier record
+    failed, and carries the whole check's millis, generation included.
     """
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; have {CHECK_IDS}")
     check = _CHECKS[check_id]
-    unread = set(params) - set(inspect.signature(check).parameters)
+    code = check.__code__
+    unread = set(params) - set(code.co_varnames[:code.co_argcount])
     if unread:
         raise ValueError(f"check {check_id} does not take {', '.join(sorted(unread))}")
     for name, value in params.items():

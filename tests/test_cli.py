@@ -88,7 +88,8 @@ def test_gen_corpus_and_count(tmp_path):
 
 
 def test_gen_writes_each_graph_before_generation_fails(monkeypatch, capsys, tmp_path):
-    import triminor.cli as cli
+    # `gen` imports generate when it runs, so it reads the patched function
+    import triminor.generate as generate_module
     from triminor.generate import GenSpec, generate
 
     first_two = list(generate(GenSpec(4)))[:2]
@@ -98,7 +99,7 @@ def test_gen_writes_each_graph_before_generation_fails(monkeypatch, capsys, tmp_
         yield from first_two
         raise ValueError("generation stopped")
 
-    monkeypatch.setattr(cli, "generate", fails_after_two)
+    monkeypatch.setattr(generate_module, "generate", fails_after_two)
     assert main(["gen", "--n", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == expected
@@ -291,20 +292,48 @@ def test_runtime_stays_standard_library_only():
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, ["triminor"], False, False]
 
 
+# Every call pays for what importing the CLI compiles, so the modules only
+# some subcommands use are imported inside them; one stray top-level import
+# would load them all again.
+_HEAVY = ("dataclasses", "inspect", "triminor.generate", "triminor.coloring",
+          "triminor.rigidity")
+
+
+@pytest.mark.parametrize("run, loaded", [
+    ("", []),
+    ("cli.main(['gen', '--n', '4', '--count-only'])\n", ["triminor.generate"]),
+])
+def test_a_call_loads_only_what_it_runs(run, loaded):
+    # -S keeps site hooks (.pth files) from importing modules of their own
+    import triminor
+
+    probe = (
+        "import json, sys\n"
+        "from triminor import cli, minors, verify\n"
+        f"{run}"
+        f"print(json.dumps([name for name in {_HEAVY!r} if name in sys.modules]))\n"
+    )
+    src = str(Path(triminor.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == loaded
+
+
 def test_summary_carries_the_whole_checks_time_under_timing(monkeypatch, capsys):
     # generation runs before any graph's record starts its clock, so only
     # the summary's time counts it; without --timing every millis is 0
     import time
 
-    import triminor.verify as verify
+    import triminor.generate as generate_module
 
-    real_generate = verify.generate
+    real_generate = generate_module.generate
 
     def slow_generate(spec):
         time.sleep(0.05)
         return real_generate(spec)
 
-    monkeypatch.setattr(verify, "generate", slow_generate)
+    monkeypatch.setattr(generate_module, "generate", slow_generate)
     args = ["verify", "--check", "lemma-compk8", "--n", "8"]
     assert main(args) == 0
     plain = records(capsys.readouterr().out)

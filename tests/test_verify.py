@@ -1,6 +1,5 @@
 import random
 import time
-from dataclasses import replace
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -218,7 +217,7 @@ def test_summary_fails_on_any_failed_record_or_false_ok(monkeypatch):
 
         monkeypatch.setitem(verify._CHECKS, "fake", check)
         *earlier, last = run_check("fake")
-        return earlier, replace(last, millis=0)
+        return earlier, last._replace(millis=0)
 
     assert final([passed]) == (
         [passed_record], ReportLine("fake", "summary", "pass", {"n": 1}))
@@ -265,8 +264,8 @@ def test_run_check_names_the_check_and_parameter_of_a_count_below_one(check_id, 
 
 
 def test_run_check_reads_each_parameter_as_an_int():
-    as_text = [replace(r, millis=0) for r in run_check("density-ktree", samples="15")]
-    as_int = [replace(r, millis=0) for r in run_check("density-ktree", samples=15)]
+    as_text = [r._replace(millis=0) for r in run_check("density-ktree", samples="15")]
+    as_int = [r._replace(millis=0) for r in run_check("density-ktree", samples=15)]
     assert as_text == as_int and as_int[-1].witness == {"per_k": 15}
 
 
@@ -372,9 +371,9 @@ def test_compk7_apex_frontier_pinned_on_the_whole_corpus():
 
 
 def test_lemma_compk8_warns_that_n11_runs_long(monkeypatch, capsys):
-    import triminor.verify as verify
+    import triminor.generate as generate_module
 
-    monkeypatch.setattr(verify, "generate", lambda spec: iter(()))
+    monkeypatch.setattr(generate_module, "generate", lambda spec: iter(()))
     assert list(run_check("lemma-compk8", n=11))[-1].witness == {"n": 11, "graphs": 0}
     captured = capsys.readouterr()
     assert captured.out == ""
