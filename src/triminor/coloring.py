@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cliques import max_clique
+from .cliques import has_clique
 from .graphs import Graph, bits
 
 EXACT_COLORING_LIMIT = 20
@@ -15,25 +15,6 @@ class ChromaticResult(NamedTuple):
 
     chi: int
     coloring: tuple[int, ...]
-
-
-def _greedy_dsatur(g: Graph) -> list[int]:
-    """DSATUR greedy colouring; an upper bound and a starting certificate."""
-    n = g.n
-    color = [-1] * n
-    neighbour_colors: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if color[u] < 0),
-            key=lambda u: (len(neighbour_colors[u]), g.adj[u].bit_count(), -u),
-        )
-        c = 0
-        while c in neighbour_colors[v]:
-            c += 1
-        color[v] = c
-        for w in bits(g.adj[v]):
-            neighbour_colors[w].add(c)
-    return color
 
 
 def _try_k_coloring(g: Graph, k: int, clique: list[int]) -> list[int] | None:
@@ -72,29 +53,25 @@ def _try_k_coloring(g: Graph, k: int, clique: list[int]) -> list[int] | None:
         color[v] = -1
         return False
 
-    if len(clique) > k:
-        return None
     if rec(n - len(clique), len(clique)):
         return color
     return None
 
 
 def chromatic_number(g: Graph) -> ChromaticResult:
-    """Exact chromatic number, certified by an exhausted (chi-1)-search."""
+    """Exact chromatic number.  The clique grows by asking has_clique for
+    one more vertex until there is none, so it is a maximum one; it is
+    pre-coloured, and k climbs from its size to the first k that colours,
+    so every smaller k is below the clique number or was refuted."""
     if g.n > EXACT_COLORING_LIMIT:
         raise ValueError(f"exact colouring capped at n={EXACT_COLORING_LIMIT}")
-    if g.edge_count == 0:
-        return ChromaticResult(1, (0,) * g.n)
-    clique = max_clique(g)
-    upper = _greedy_dsatur(g)
-    ub = max(upper) + 1
-    if len(clique) == ub:
-        return ChromaticResult(ub, tuple(upper))
-    for k in range(len(clique), ub):
-        attempt = _try_k_coloring(g, k, clique)
-        if attempt is not None:
-            return ChromaticResult(k, tuple(attempt))
-    return ChromaticResult(ub, tuple(upper))
+    clique: list[int] = []
+    while (larger := has_clique(g, len(clique) + 1)) is not None:
+        clique = larger
+    k = len(clique)
+    while (attempt := _try_k_coloring(g, k, clique)) is None:
+        k += 1
+    return ChromaticResult(k, tuple(attempt))
 
 
 def is_proper_coloring(g: Graph, coloring) -> bool:

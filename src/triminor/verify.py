@@ -17,9 +17,9 @@ import random
 import sys
 import time
 from collections.abc import Generator, Iterator
-from importlib import resources
 from itertools import combinations
 from math import comb
+from pathlib import Path
 from typing import NamedTuple
 
 from .canon import canonical_cert, is_isomorphic
@@ -55,7 +55,8 @@ CORPUS_RESOURCE = "data/k6free_mindeg5_le9.g6"
 def load_corpus() -> list[Graph]:
     """The shipped neighbourhood corpus: <=9 vertices, min degree >= 5,
     no K6-minor; regenerated and cross-checked by the list22-r7 check."""
-    text = resources.files("triminor").joinpath(CORPUS_RESOURCE).read_text()
+    # read beside this module, so that no resource reader is imported
+    text = (Path(__file__).parent / CORPUS_RESOURCE).read_text(encoding="utf-8")
     return parse_corpus(text, CORPUS_RESOURCE)
 
 
@@ -80,10 +81,11 @@ def density_premise(g: Graph, k: int) -> bool:
 
 
 def density_conclusion(g: Graph, k: int) -> bool:
-    """Complete minor on k vertices; for k=8 a K_{2,2,2,2,2}-minor also counts."""
+    """Complete minor on k vertices; for k=8 a K_{2,2,2,2,2}-minor also
+    counts, and a host too large for has_minor's search raises ValueError."""
     if kr_minor_verdict(g, k):
         return True
-    if k == 8 and g.n <= 16:
+    if k == 8:
         return has_minor(g, complete_multipartite(2, 2, 2, 2, 2)) is not None
     return False
 

@@ -167,6 +167,16 @@ def chromatic_brute(g: Graph) -> int:
     raise AssertionError("unreachable")
 
 
+def clique_number_brute(g: Graph) -> int:
+    """Size of a largest vertex set whose pairs are all edges, by trying
+    every vertex subset, largest first."""
+    for size in range(g.n, 0, -1):
+        for subset in itertools.combinations(range(g.n), size):
+            if all(g.has_edge(u, v) for u, v in itertools.combinations(subset, 2)):
+                return size
+    return 0
+
+
 def _colorable_brute(g, k, colors, v):
     if v == g.n:
         return True

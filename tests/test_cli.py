@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -294,14 +295,17 @@ def test_runtime_stays_standard_library_only():
 
 # Every call pays for what importing the CLI compiles, so the modules only
 # some subcommands use are imported inside them; one stray top-level import
-# would load them all again.
-_HEAVY = ("dataclasses", "inspect", "triminor.generate", "triminor.coloring",
-          "triminor.rigidity")
+# would load them all again.  The corpus is read by its path beside
+# `verify`, so no call loads a resource reader or the archive reader it
+# pulls in.
+_HEAVY = ("dataclasses", "inspect", "importlib.resources", "zipfile",
+          "triminor.generate", "triminor.coloring", "triminor.rigidity")
 
 
 @pytest.mark.parametrize("run, loaded", [
     ("", []),
     ("cli.main(['gen', '--n', '4', '--count-only'])\n", ["triminor.generate"]),
+    ("verify.load_corpus()\n", []),
 ])
 def test_a_call_loads_only_what_it_runs(run, loaded):
     # -S keeps site hooks (.pth files) from importing modules of their own
@@ -318,6 +322,16 @@ def test_a_call_loads_only_what_it_runs(run, loaded):
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == loaded
+
+
+def test_readme_library_table_has_a_row_for_every_module():
+    import triminor
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Library overview", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `(\w+)` ", table, re.M))
+    modules = {path.stem for path in Path(triminor.__file__).parent.glob("*.py")}
+    assert modules - {"__init__", "cli"} - rows == set()
 
 
 def test_summary_carries_the_whole_checks_time_under_timing(monkeypatch, capsys):

@@ -1,8 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from oracles import chromatic_brute, random_graph_for_tests
+from oracles import chromatic_brute, clique_number_brute, random_graph_for_tests
 from triminor.coloring import chromatic_number, is_proper_coloring
 from triminor.graphs import (
     complete,
@@ -46,14 +47,33 @@ def test_petersen_is_three_chromatic():
     assert len(set(result.coloring)) == 3
 
 
-def test_certificates_are_proper_and_optimal_vs_brute():
+def test_certificates_are_proper_and_optimal_vs_brute(monkeypatch):
+    # a maximum clique is pre-coloured 0, 1, ..., and every k from its size
+    # up to chi is tried, so each k below chi is refuted or below omega
+    import triminor.coloring as coloring
+
+    calls = []
+    real = coloring._try_k_coloring
+
+    def spy(g, k, clique):
+        calls.append((k, list(clique)))
+        return real(g, k, clique)
+
+    monkeypatch.setattr(coloring, "_try_k_coloring", spy)
     rng = random.Random(41)
     for _ in range(60):
         g = random_graph_for_tests(rng.randint(1, 8), rng, p=rng.uniform(0.1, 0.9))
+        calls.clear()
         result = chromatic_number(g)
         assert is_proper_coloring(g, result.coloring)
-        assert max(result.coloring) + 1 <= result.chi
+        assert max(result.coloring) + 1 == result.chi
         assert result.chi == chromatic_brute(g)
+        omega = clique_number_brute(g)
+        clique = calls[0][1]
+        assert len(clique) == omega
+        assert all(g.has_edge(u, v) for u, v in combinations(clique, 2))
+        assert calls == [(k, clique) for k in range(omega, result.chi + 1)]
+        assert [result.coloring[v] for v in clique] == list(range(omega))
 
 
 def test_edge_cases_and_limit():

@@ -78,6 +78,17 @@ def test_density_conclusion_counts_k22222_minor():
     assert density_conclusion(k22222, 8) is True  # itself as the special minor
 
 
+def test_density_conclusion_refuses_a_host_over_the_exhaustive_limit():
+    # K_{2,2,2,2,2} with 7 isolated vertices still has the special minor,
+    # but on 17 vertices no search may look for it: an error, not False
+    from triminor.verify import density_conclusion
+
+    padded = make_graph(17, complete_multipartite(2, 2, 2, 2, 2).edges())
+    assert not kr_minor_verdict(padded, 8)
+    with pytest.raises(ValueError, match="17 > 16 vertices"):
+        density_conclusion(padded, 8)
+
+
 def test_samplers_produce_what_they_claim():
     rng = random.Random(53)
     for r in (5, 6, 7):
