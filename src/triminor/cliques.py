@@ -1,5 +1,5 @@
-"""The one exact clique search on bitmask graphs, shared by the minor kernel
-and the colourer."""
+"""The one exact clique search on bitmask graphs, shared by
+`minors.has_minor`, which asks it for a clique witness, and the colourer."""
 
 from __future__ import annotations
 

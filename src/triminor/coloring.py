@@ -25,22 +25,22 @@ def _try_k_coloring(g: Graph, k: int, clique: list[int]) -> list[int] | None:
     for i, v in enumerate(clique):
         color[v] = i
 
-    def pick() -> int:
-        best, best_key = -1, (-1, -1)
+    def pick() -> tuple[int, set[int]]:
+        # the most saturated uncoloured vertex, with its neighbours' colours
+        best, best_key, best_seen = -1, (-1, -1), set()
         for v in range(n):
             if color[v] >= 0:
                 continue
-            sat = len({color[w] for w in bits(g.adj[v]) if color[w] >= 0})
-            key = (sat, g.adj[v].bit_count())
+            seen = {color[w] for w in bits(g.adj[v]) if color[w] >= 0}
+            key = (len(seen), g.adj[v].bit_count())
             if key > best_key:
-                best, best_key = v, key
-        return best
+                best, best_key, best_seen = v, key, seen
+        return best, best_seen
 
     def rec(remaining: int, used: int) -> bool:
         if remaining == 0:
             return True
-        v = pick()
-        forbidden = {color[w] for w in bits(g.adj[v]) if color[w] >= 0}
+        v, forbidden = pick()
         for c in range(used):
             if c not in forbidden:
                 color[v] = c

@@ -326,7 +326,7 @@ def generate(spec: GenSpec) -> Iterator[Graph]:
                 yield g
     else:
         for g in orderly_stream(n, max_edges=spec.max_edges, keep_after=minor_free):
-            if g.min_degree() >= spec.min_degree or g.n == 1:
+            if g.min_degree() >= spec.min_degree:
                 yield g
 
 

@@ -44,19 +44,6 @@ class Graph(NamedTuple):
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted((r.bit_count() for r in self.adj), reverse=True))
 
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
-
 
 def bits(mask: int) -> list[int]:
     """Positions of set bits, ascending."""

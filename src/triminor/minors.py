@@ -12,9 +12,10 @@ asked by kr_minor_verdict after its size and edge-cap shortcuts and by
 has_minor after a clique test: a greedy contraction probe that can only
 answer yes, and only with a contraction model (see _contraction_probe);
 exact reductions that delete low-degree simplicial vertices and contract
-degree-2 ones (see _peel_for_clique); a clique of what the peel leaves; and
-last a narrower search: on a connected host the branch sets can be taken to
-partition the vertices, and the next part is grown from the uncovered
+degree-2 ones (see _peel_for_clique); and last, on each component of what
+the peel leaves, a narrower search that is exact on its own, a component
+that is a clique included: on a connected host the branch sets can be taken
+to partition the vertices, and the next part is grown from the uncovered
 vertex with the fewest uncovered neighbours (see _partition_model).  That
 search also cuts every branch whose uncovered vertices have too few edges
 to hold the parts still to place: a spanning tree in each and an edge
@@ -429,14 +430,11 @@ def _contraction_probe(g: Graph, r: int) -> list[int] | None:
 def _clique_model(g: Graph, r: int) -> list[int] | None:
     """Branch-set masks of a complete minor on r vertices in g, on g's own
     labels and sorted by minimum vertex, or None when g has none: the
-    contraction probe's model, else a clique of the peeled graph or a
-    partition model of one of its components, mapped back to g."""
+    contraction probe's model, else a partition model of one component of
+    the peeled graph, mapped back to g."""
     masks = _contraction_probe(g, r)
     if masks is None:
         peeled, alive, merged = _peel_for_clique(g, r)
-        clique = has_clique(peeled, r)
-        if clique is not None:
-            masks = [1 << v for v in clique]
         left = alive
         while masks is None and left:
             comp = _reach(peeled.adj, left & -left, left)
@@ -484,13 +482,16 @@ def apex_augment_check(
     candidates restricts the universe the subsets are drawn from (default:
     all vertices of g); subsets follow its order.
 
-    A minor for S persists for every superset, so the survivors are closed
-    downward: the walk takes a k-subset only when all its (k-1)-subsets
-    survived.  An automorphism of g that keeps the universe maps S to a
-    subset with the same verdict.  So a subset inside an image of a set
-    known to have no minor has none, and one holding an image of a set
-    known to have a minor has one; the kernel is asked only about the
-    rest, never twice about one set.  When it finds no minor for S, S is
+    A minor for S persists for every superset, and an automorphism of g
+    that keeps the universe maps S to a subset with the same verdict.  So a
+    subset inside an image of a set known to have no minor has none, and
+    one holding an image of a set known to have a minor has one; the kernel
+    is asked only about the rest, never twice about one set.  The walk
+    takes every subset, size by size: one holding a smaller subset with a
+    minor is answered by the known sets, since that subset was answered
+    first and either went to the kernel or held a known one itself.  A size
+    with no survivors ends the walk, as every larger subset holds one of
+    its subsets.  When the kernel finds no minor for S, S is
     grown to a maximal such set M of at most k_max vertices: each candidate
     outside it, in universe order, is kept while the set stays minor-free.
     The images of M then answer every subset of them with no query (the
@@ -528,19 +529,12 @@ def apex_augment_check(
         return False
 
     survivors: dict[int, list[tuple[int, ...]]] = {}
-    alive: dict[int, tuple[int, ...]] = {0: ()}
     for k in range(1, k_max + 1):
-        level = {}
-        for subset in combinations(universe, k):
-            mask = sum(1 << v for v in subset)
-            if any(mask ^ (1 << v) not in alive for v in subset):
-                continue
-            if not has_minor_at(mask):
-                level[mask] = subset
+        level = [subset for subset in combinations(universe, k)
+                 if not has_minor_at(sum(1 << v for v in subset))]
         if not level:
             break
-        survivors[k] = list(level.values())
-        alive = level
+        survivors[k] = level
     return survivors
 
 
@@ -575,10 +569,10 @@ def vertex_connectivity(g: Graph) -> int:
 
     Connectivity is at most the minimum degree: the neighbours of a vertex
     of least degree separate it from any non-neighbour, and a complete graph
-    has none.  So the flows start capped there.
+    has none.  So the flows start capped there.  A disconnected graph needs
+    no test of its own: a pair in different components has no path, so its
+    flow is 0.
     """
-    if not g.is_connected():
-        return 0
     best = g.min_degree()
     for s in range(g.n):
         for t in range(s + 1, g.n):

@@ -116,26 +116,30 @@ def _has_subgraph_brute(g: Graph, h: Graph) -> bool:
     return any(all(g.has_edge(phi[a], phi[b]) for a, b in h_edges) for phi in maps)
 
 
+def _connected_brute(g: Graph, vertices: list[int]) -> bool:
+    """Whether g restricted to `vertices` is connected, by a search from the
+    first one over `has_edge`."""
+    seen = {vertices[0]}
+    todo = [vertices[0]]
+    while todo:
+        u = todo.pop()
+        for w in vertices:
+            if w not in seen and g.has_edge(u, w):
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == len(vertices)
+
+
 def vertex_connectivity_brute(g: Graph) -> int:
     """Smallest vertex cut by exhaustive subset enumeration."""
-    if not g.is_connected():
+    if not _connected_brute(g, list(range(g.n))):
         return 0
-    full = (1 << g.n) - 1
-    if all(g.adj[v] == full ^ (1 << v) for v in range(g.n)):
+    if all(g.has_edge(u, v) for u, v in itertools.combinations(range(g.n), 2)):
         return g.n - 1
     for k in range(g.n - 1):
         for cut in itertools.combinations(range(g.n), k):
             remaining = [v for v in range(g.n) if v not in cut]
-            sub_rows = []
-            pos = {v: i for i, v in enumerate(remaining)}
-            for v in remaining:
-                row = 0
-                for w in remaining:
-                    if g.has_edge(v, w):
-                        row |= 1 << pos[w]
-                sub_rows.append(row)
-            sub = from_rows(len(remaining), sub_rows)
-            if len(remaining) > 1 and not sub.is_connected():
+            if len(remaining) > 1 and not _connected_brute(g, remaining):
                 return k
     return g.n - 1
 

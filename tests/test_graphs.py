@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -206,3 +208,16 @@ def test_mader_edge_cap_up_to_k8():
     assert mader_edge_cap(10, 8) == complete_multipartite(2, 2, 2, 2, 2).edge_count
     with pytest.raises(ValueError):
         mader_edge_cap(10, 9)
+
+
+def test_oracles_import_only_the_graph_kernel():
+    # the oracles check the package's searches, so they may build and read
+    # graphs through triminor.graphs but share no other code with it
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert {m for m in imported if m.split(".")[0] == "triminor"} == {"triminor.graphs"}

@@ -144,6 +144,11 @@ def test_vertex_connectivity():
     assert vertex_connectivity_brute(petersen_complement()) == 6
     two_parts = make_graph(4, [(0, 1), (2, 3)])
     assert vertex_connectivity(two_parts) == 0
+    # two K5s: the flows start capped at 4, and a pair across them has none
+    two_k5 = make_graph(10, [(u + o, v + o) for o in (0, 5)
+                             for u, v in itertools.combinations(range(5), 2)])
+    assert vertex_connectivity(two_k5) == 0
+    assert vertex_connectivity(make_graph(1, [])) == 0
 
 
 def test_vertex_connectivity_matches_brute_force():
@@ -496,8 +501,8 @@ def test_peel_deletes_simplicial_vertices_of_degree_at_most_r_minus_2():
 def test_peeled_models_map_back_through_the_contractions():
     # a subdivision vertex has degree 2 and non-adjacent neighbours, so the
     # peel contracts it into its lower neighbour and leaves K_r; with the
-    # probe off, the clique found there comes back to g only if that
-    # neighbour's branch set takes the subdivision vertex with it
+    # probe off, the partition search's model of that K_r comes back to g
+    # only if that neighbour's branch set takes the subdivision vertex with it
     for r, subdivided in [(5, [(0, 1)]), (6, [(0, 1), (2, 3)])]:
         edges = [e for e in itertools.combinations(range(r), 2) if e not in subdivided]
         for s, (a, b) in enumerate(subdivided, start=r):

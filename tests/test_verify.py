@@ -10,6 +10,7 @@ from oracles import kr_minor_brute
 from triminor.canon import canonical_cert
 from triminor.graph6 import parse_graph6, write_graph6
 from triminor.graphs import (
+    complement,
     complete,
     complete_multipartite,
     k_tree,
@@ -182,9 +183,6 @@ def test_check_compk8_n9_reports_known_failure():
     failing = fails[0]
     # complement of C3+C6: the one graph whose double-apex augmentation can
     # miss the required minor (three antipodal 7-subsets)
-    from triminor.graph6 import parse_graph6
-    from triminor.graphs import complement
-
     comp = complement(parse_graph6(failing.input))
     assert sorted(comp.degree_sequence()) == [2] * 9
     assert failing.witness["double_apex"] is False
@@ -397,6 +395,28 @@ def test_lemma_compk8_warns_that_n11_runs_long(monkeypatch, capsys):
 def test_check_compk8_rejects_bad_n():
     with pytest.raises(ValueError):
         list(run_check("lemma-compk8", n=7))
+
+
+@pytest.mark.parametrize("n, classes, minor_free", [
+    (8, 5, 2), (9, 70, 18),
+    # 3,547 contraction-oracle runs on 10 vertices: about 10 s on a 2-core
+    # machine
+    pytest.param(10, 3547, 122, marks=pytest.mark.slow),
+])
+def test_lemma_compk8_class_lists_match_contraction_oracle(n, classes, minor_free):
+    # lemma-compk8 lists the minimum-degree-6 classes that the kernel finds
+    # K7-minor-free; they are the complements of the classes of maximum
+    # degree n - 7, so each class's verdict, the negatives included, must
+    # match the oracle.  The minor-free counts are the check's "graphs"
+    from triminor.generate import orderly_stream
+
+    memo = {}
+    verdicts = []
+    for s in orderly_stream(n, max_degree=n - 7):
+        g = complement(s)
+        verdicts.append(kr_minor_verdict(g, 7))
+        assert verdicts[-1] == kr_minor_brute(g, 7, memo), write_graph6(g)
+    assert (len(verdicts), verdicts.count(False)) == (classes, minor_free)
 
 
 def test_check_density_ktree_small():
