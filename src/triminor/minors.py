@@ -8,13 +8,13 @@ non-complete pattern the search (_search_model) places branch sets one
 pattern vertex at a time, enumerating candidate connected subsets of the
 unused vertices and pruning on vertex budget and on required adjacency to
 already-placed sets.  Complete minors have one search (_clique_model),
-asked by kr_minor_verdict after its size and edge-cap shortcuts and by
-has_minor after a clique test: a greedy contraction probe that can only
-answer yes, and only with a contraction model (see _contraction_probe);
-exact reductions that delete low-degree simplicial vertices and contract
-degree-2 ones (see _peel_for_clique); and last, on each component of what
-the peel leaves, a narrower search that is exact on its own, a component
-that is a clique included: on a connected host the branch sets can be taken
+asked by kr_minor_verdict after its edge-count shortcuts and by has_minor
+after a clique test: a greedy contraction probe that can only answer yes,
+and only with a contraction model (see _contraction_probe); an exact peel
+that only deletes low-degree simplicial vertices (see _peel_for_clique);
+and last, on each component of what the peel leaves, read from the host's
+own rows, a narrower search that is exact on its own, a component that is
+a clique included: on a connected host the branch sets can be taken
 to partition the vertices, and the next part is grown from the uncovered
 vertex with the fewest uncovered neighbours (see _partition_model).  That
 search also cuts every branch whose uncovered vertices have too few edges
@@ -322,25 +322,16 @@ def _reach(adj: tuple[int, ...], start: int, within: int) -> int:
     return seen
 
 
-def _peel_for_clique(g: Graph, r: int) -> tuple[Graph, int, list[int]]:
-    """Shrink g without changing whether it has a complete minor on r vertices.
-
-    A simplicial vertex v of degree <= r - 2 (its live neighbours form a
-    clique, as any of degree <= 1 do) is deleted: a branch set that is v
-    alone reaches at most r - 2 others, and a larger one stays connected
+def _peel_for_clique(g: Graph, r: int) -> int:
+    """Mask of the vertices of g left after deleting, while any is left, a
+    simplicial vertex v of degree <= r - 2 (its live neighbours form a
+    clique, as any of degree <= 1 do); the mask may be empty.  g has a
+    complete minor on r vertices iff the survivors do: a branch set that is
+    v alone reaches at most r - 2 others, and a larger one stays connected
     without v, and keeps each of v's adjacencies, through the clique on
-    N(v).  For r >= 4 a degree-2 vertex can be contracted into a
-    neighbour, since a branch set reduced to that single vertex could
-    attach to at most two others.
-
-    Returns g with the contractions applied, on its own labels and its rows
-    masked to the survivors; the mask of the survivors, which may be empty;
-    and for each survivor the mask of itself and the vertices contracted
-    into it.  These sets are connected in g and realise every edge of the
-    peeled graph, so a model there maps back to g by their union.
+    N(v).
     """
-    rows = list(g.adj)
-    merged = [1 << v for v in range(g.n)]
+    rows = g.adj
     alive = (1 << g.n) - 1
     changed = True
     while changed:
@@ -349,25 +340,14 @@ def _peel_for_clique(g: Graph, r: int) -> tuple[Graph, int, list[int]]:
         while m:
             low = m & -m
             m ^= low
-            v = low.bit_length() - 1
-            row = rows[v] & alive
-            d = row.bit_count()
-            if d <= r - 2 and _is_clique(rows, row):
+            row = rows[low.bit_length() - 1] & alive
+            if row.bit_count() <= r - 2 and _is_clique(rows, row):
                 alive ^= low
                 changed = True
-            elif d == 2 and r >= 4:
-                a = (row & -row).bit_length() - 1
-                b = row.bit_length() - 1
-                alive ^= low
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-                merged[a] |= merged[v]
-                changed = True
-    peeled = [rows[v] & alive if alive >> v & 1 else 0 for v in range(g.n)]
-    return from_rows(g.n, peeled), alive, merged
+    return alive
 
 
-def _is_clique(rows: list[int], mask: int) -> bool:
+def _is_clique(rows: tuple[int, ...], mask: int) -> bool:
     """Whether the vertices of `mask` are pairwise adjacent in `rows`."""
     todo = mask
     while todo:
@@ -428,35 +408,32 @@ def _contraction_probe(g: Graph, r: int) -> list[int] | None:
 
 
 def _clique_model(g: Graph, r: int) -> list[int] | None:
-    """Branch-set masks of a complete minor on r vertices in g, on g's own
-    labels and sorted by minimum vertex, or None when g has none: the
-    contraction probe's model, else a partition model of one component of
-    the peeled graph, mapped back to g."""
+    """Branch-set masks of a complete minor on r vertices in g, sorted by
+    minimum vertex, or None when g has none: the contraction probe's model,
+    else a partition model of one component of what the peel leaves.  The
+    partition search reads g's own rows, masked to the component, so its
+    model is already one in g."""
     masks = _contraction_probe(g, r)
     if masks is None:
-        peeled, alive, merged = _peel_for_clique(g, r)
-        left = alive
+        left = _peel_for_clique(g, r)
         while masks is None and left:
-            comp = _reach(peeled.adj, left & -left, left)
+            comp = _reach(g.adj, left & -left, left)
             left &= ~comp
-            masks = _partition_model(peeled.adj, comp, r)
-        if masks is None:
-            return None
-        # the merged sets of distinct survivors are disjoint: sum is union
-        masks = [sum(merged[v] for v in bits(m)) for m in masks]
-    return sorted(masks, key=lambda m: m & -m)
+            masks = _partition_model(g.adj, comp, r)
+    return None if masks is None else sorted(masks, key=lambda m: m & -m)
 
 
 def kr_minor_verdict(g: Graph, r: int) -> bool:
     """Does g have a complete minor on r vertices?
 
-    False when g has fewer than r vertices or C(r, 2) edges, True when it
-    is over the minor-free edge cap, which answers every r <= 2; otherwise
-    whether _clique_model finds a model.  Raises ValueError for r < 1.
+    False when g has fewer than C(r, 2) edges, as every graph on fewer
+    than r >= 2 vertices has; True when it is over the minor-free edge cap,
+    which answers every r <= 2; otherwise whether _clique_model finds a
+    model.  Raises ValueError for r < 1.
     """
     if r < 1:
         raise ValueError(f"no complete minor on r={r} < 1 vertices")
-    if g.n < r or g.edge_count < comb(r, 2):
+    if g.edge_count < comb(r, 2):
         return False
     if r <= 7 and g.edge_count > mader_edge_cap(g.n, r):
         return True  # over the minor-free edge cap, a model must exist

@@ -487,37 +487,54 @@ def test_peel_deletes_simplicial_vertices_of_degree_at_most_r_minus_2():
     for seed in range(5):
         g = k_tree(3, 12, seed)
         assert g.min_degree() == 3
-        assert _peel_for_clique(g, 5)[1] == 0
-        assert _peel_for_clique(g, 4)[1] != 0
+        assert _peel_for_clique(g, 5) == 0
+        assert _peel_for_clique(g, 4) != 0
         assert kr_minor_verdict(g, 5) is False
         assert kr_minor_verdict(g, 4) is True
     # a vertex on a triangle, deleted for K5 but not for K4, where a branch
     # set of it alone reaches all three triangle vertices
     g = make_graph(4, [(0, 1), (0, 2), (1, 2), (3, 0), (3, 1), (3, 2)])
-    assert _peel_for_clique(g, 5)[1] == 0
-    assert _peel_for_clique(g, 4)[1] == 0b1111
+    assert _peel_for_clique(g, 5) == 0
+    assert _peel_for_clique(g, 4) == 0b1111
 
 
-def test_peeled_models_map_back_through_the_contractions():
-    # a subdivision vertex has degree 2 and non-adjacent neighbours, so the
-    # peel contracts it into its lower neighbour and leaves K_r; with the
-    # probe off, the partition search's model of that K_r comes back to g
-    # only if that neighbour's branch set takes the subdivision vertex with it
+def _subdivided_complete(r, subdivided):
+    """K_r with each listed edge replaced by a path through a new vertex,
+    labelled r, r + 1, ... in list order."""
+    edges = [e for e in itertools.combinations(range(r), 2) if e not in subdivided]
+    for s, (a, b) in enumerate(subdivided, start=r):
+        edges += [(a, s), (s, b)]
+    return make_graph(r + len(subdivided), edges)
+
+
+def test_peel_keeps_subdivision_vertices_and_the_search_covers_them():
+    # a subdivision vertex has degree 2 and non-adjacent neighbours, so it is
+    # not simplicial and the peel keeps every vertex; with the probe off, the
+    # partition search's model partitions the host, so some branch set holds
+    # each subdivision vertex
     for r, subdivided in [(5, [(0, 1)]), (6, [(0, 1), (2, 3)])]:
-        edges = [e for e in itertools.combinations(range(r), 2) if e not in subdivided]
-        for s, (a, b) in enumerate(subdivided, start=r):
-            edges += [(a, s), (s, b)]
-        g = make_graph(r + len(subdivided), edges)
-        peeled, alive, merged = _peel_for_clique(g, r)
-        assert alive == (1 << r) - 1
-        assert peeled.adj == complete(r).adj + (0,) * len(subdivided)
-        for s, (a, _) in enumerate(subdivided, start=r):
-            assert merged[a] == 1 << a | 1 << s
+        g = _subdivided_complete(r, subdivided)
+        assert _peel_for_clique(g, r) == (1 << g.n) - 1
         with _probe(False):
             w = has_minor(g, complete(r))
         validate_minor_witness(g, w)
         for s in range(r, g.n):
             assert any(s in branch_set for branch_set in w.branch_sets)
+
+
+def test_clique_search_builds_no_graph(monkeypatch):
+    # the peel only deletes and the partition search reads the host's own
+    # rows, so a query that reaches that search makes no graph of its own
+    hosts = [(complete_multipartite(2, 2, 2, 2, 2), 8, False),
+             (_subdivided_complete(5, [(0, 1)]), 5, True)]
+
+    def no_graph(*args):
+        raise AssertionError("the complete-minor search built a graph")
+
+    monkeypatch.setattr(minors, "from_rows", no_graph)
+    with _probe(False):
+        for g, r, verdict in hosts:
+            assert kr_minor_verdict(g, r) is verdict
 
 
 def test_verdict_false_when_peel_empties_the_graph():
