@@ -9,15 +9,17 @@ edge's ends in the child's refined partition) and the pair certificate.
 The filters run cheapest first, which changes no output (McKay,
 "Isomorph-free exhaustive generation", 1998): degree and edge caps are read
 off the parent, so a capped augmentation is never built; the invariant part
-of that test runs on every other augmentation from the parent's own
-invariants and hands the edges that tie on it to the rest of the test; the
-parent's automorphism search runs only on the augmentations it keeps; and
-a child with a tie that the cell key leaves gets one search of its own
-automorphism group, which settles every tie in the added edge's orbit and
-leaves only the others to compare by pair certificate.  The child keeps
-those generators for its own expansion, which then needs no search.  The
-stream is depth-first, each child expanded before its next sibling, so it
-holds one path of parents and their pending siblings, not an edge level.
+of that test runs on every other augmentation from the ranking carried from
+the parent (its edges sorted by invariant, which an accepted child inherits
+with only the edges at the added edge's ends re-keyed) and hands the edges
+that tie on it to the rest of the test; the parent's automorphism search
+runs only on the augmentations it keeps; and a child with a tie that the
+cell key leaves gets one search of its own automorphism group, which
+settles every tie in the added edge's orbit and leaves only the others to
+compare by pair certificate.  The child keeps those generators for its own
+expansion, which then needs no search.  The stream is depth-first, each
+child expanded before its next sibling, so it holds one path of parents and
+their pending siblings, not an edge level.
 Orbits are walked by `canon.orbit`, the one orbit walk the apex sweeps use
 too.
 Hereditary pruning cuts whole subtrees: a predicate that can never be
@@ -36,7 +38,7 @@ from bisect import bisect_left
 from typing import Callable, Iterator, NamedTuple
 
 from .canon import automorphisms, cell_positions, orbit, pair_cert
-from .graphs import Graph, bits, complement, from_rows, mader_edge_cap
+from .graphs import Graph, complement, from_rows, mader_edge_cap
 from .minors import EXHAUSTIVE_HOST_LIMIT, PRUNE_IDS, kr_minor_verdict
 
 
@@ -89,13 +91,17 @@ class GenSpec(_GenFields):
 
 
 def _invariant_survivors(
-    parent: Graph, non_edges: list[tuple[int, int]]
+    parent: Graph, non_edges: list[tuple[int, int]], ranked: list[tuple[int, int]]
 ) -> dict[tuple[int, int], list[tuple[int, int]]]:
     """The non-edges uv of parent whose child parent + uv has no edge with a
-    smaller invariant than uv, read off the parent's invariants, each
+    smaller invariant than uv, read off the parent's ranking `ranked`, each
     mapped to the other edges of that child that tie with uv, in
     `Graph.edges` order.  The invariant of an edge xw is (smaller degree,
     larger degree, common neighbours) of x and w, compared in that order.
+    `ranked` holds the (invariant, mask) pair of every parent edge,
+    ascending, the mask having the edge's two end bits; `orderly_stream`
+    carries it from parent to child (`_child_ranking`), so none is built
+    here.
 
     Adding uv raises the degrees of u and v by one, and on an edge xw with
     x in {u, v} it adds the other end of uv to the neighbours of x.  Every
@@ -107,18 +113,6 @@ def _invariant_survivors(
     """
     adj = parent.adj
     deg = [row.bit_count() for row in adj]
-    ranked = []
-    for x, row in enumerate(adj):
-        dx = deg[x]
-        m = row >> x + 1 << x + 1
-        while m:
-            low = m & -m
-            m ^= low
-            w = low.bit_length() - 1
-            dw = deg[w]
-            key = dx << 14 | dw << 7 if dx <= dw else dw << 14 | dx << 7
-            ranked.append((key | (row & adj[w]).bit_count(), 1 << x | 1 << w))
-    ranked.sort()
     survivors = {}
     for u, v in non_edges:
         du, dv = deg[u] + 1, deg[v] + 1
@@ -159,6 +153,32 @@ def _invariant_survivors(
             ]
             survivors[u, v] = sorted(ties)
     return survivors
+
+
+def _child_ranking(
+    child: Graph, ranked: list[tuple[int, int]], u: int, v: int
+) -> list[tuple[int, int]]:
+    """The ranking of child, parent + uv, given the parent's ranking: the
+    (invariant, mask) pair of each edge, ascending, the mask having the
+    edge's two end bits.  Only the edges at u and v change their invariant
+    (see `_invariant_survivors`): those, uv among them, are re-keyed from
+    the child's rows and sorted in among the parent's other edges, which
+    keep their order."""
+    adj = child.adj
+    ends = 1 << u | 1 << v
+    rekeyed = []
+    for x in (u, v):
+        row = adj[x]
+        dx = row.bit_count()
+        m = row if x == u else row & ~(1 << u)  # uv once, from u
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
+            dw = adj[w].bit_count()
+            key = dx << 14 | dw << 7 if dx <= dw else dw << 14 | dx << 7
+            rekeyed.append((key | (row & adj[w]).bit_count(), 1 << x | low))
+    return sorted([entry for entry in ranked if not entry[1] & ends] + rekeyed)
 
 
 def _orbit_reps(
@@ -250,17 +270,21 @@ def orderly_stream(
     parent: a parent at the edge cap gets no children, and only the
     non-edges whose two ends are both below the degree cap are augmented.
     The invariant part of the canonical test runs on each of those, from the
-    parent's invariants (`_invariant_survivors`); the automorphism search
+    parent's ranking (`_invariant_survivors`); the automorphism search
     (`_orbit_reps`) runs on what survives, and only when two or more pairs
     do, and `canon.orbit` walks its generators over the surviving pairs'
     masks; the least pair of each orbit then meets the rest of the canonical
     test (`_is_canonical_child`) against the tied edges the invariant test
     found: the refined-cell key, then the child's automorphism group, then
     pair certificates for the ties outside the added edge's orbit.
-    `keep_after` is asked only once that accepts it.  The generators of a
-    child whose test searched its group stay with the child on the stack,
-    and `_orbit_reps` uses them in place of its own search when that child
-    is expanded as a parent.
+    `keep_after` is asked only once that accepts it.  Each class waits on
+    the stack with its ranking, its edges' (invariant, mask) pairs in
+    ascending order: the empty graph's is [], and an accepted child's is its
+    parent's with the edges at the added edge's ends re-keyed and that edge
+    added (`_child_ranking`), since no other edge changes its degrees or
+    common neighbours.  The generators of a child whose test searched its
+    group stay with it too, and `_orbit_reps` uses them in place of its own
+    search when that child is expanded as a parent.
     The caps and the invariant test are isomorphism-invariant, so what
     survives them is a union of orbits, and its orbit reps are those of all
     the non-edges that survive, in the same order: the order of the filters
@@ -271,22 +295,35 @@ def orderly_stream(
     if not keep_after(empty):
         return
     # graphs to expand, each with the generators its canonical test found
-    stack: list[tuple[Graph, list[tuple[int, ...]] | None]] = [(empty, None)]
+    # and its ranking
+    stack: list[tuple[Graph, list[tuple[int, ...]] | None, list[tuple[int, int]]]] = [
+        (empty, None, [])
+    ]
     while stack:
-        parent, gens = stack.pop()
+        parent, gens, ranked = stack.pop()
         yield parent
         if max_edges is not None and parent.edge_count >= max_edges:
             continue
+        adj = parent.adj
         open_ends = (1 << n) - 1
         if max_degree is not None:
-            open_ends = sum(1 << v for v, row in enumerate(parent.adj)
-                            if row.bit_count() < max_degree)
-        non_edges = [
-            (u, v)
-            for u in bits(open_ends)
-            for v in bits(open_ends & ~parent.adj[u] & ~((2 << u) - 1))
-        ]
-        survivors = _invariant_survivors(parent, non_edges)
+            open_ends = 0
+            for v, row in enumerate(adj):
+                if row.bit_count() < max_degree:
+                    open_ends |= 1 << v
+        # the non-edges uv, u < v, with both ends open, in lexicographic order
+        non_edges = []
+        m = open_ends
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            rest = open_ends & ~adj[u] & -(low << 1)
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                non_edges.append((u, bit.bit_length() - 1))
+        survivors = _invariant_survivors(parent, non_edges, ranked)
         reps = list(survivors)
         if len(reps) > 1:
             reps = _orbit_reps(parent, reps, gens)
@@ -295,7 +332,8 @@ def orderly_stream(
             child = _with_edge(parent, u, v)
             accepted, child_gens = _is_canonical_child(child, (u, v), survivors[u, v])
             if accepted and keep_after(child):
-                children.append((child, child_gens))
+                children.append(
+                    (child, child_gens, _child_ranking(child, ranked, u, v)))
         stack.extend(reversed(children))
 
 

@@ -4,6 +4,13 @@ graph6 packs the upper triangle of the adjacency matrix column-major,
 x(0,1), x(0,2), x(1,2), x(0,3), ..., six bits per printable byte with
 offset 63.  Vertex counts up to 62 use a single header byte; 63 and 64
 use the long form 0x7E + 3 bytes.
+
+The writer builds that stream one column per step: column j, the bits
+x(0,j), ..., x(j-1,j), is the low j bits of row j, so it is laid into one
+integer with the stream's first bit lowest.  Each 6-bit group is then read
+off through a 64-entry table that reverses its bits into the byte's
+most-significant-first order, and the zero bits past the end of the stream
+are the padding of the last group.
 """
 
 from __future__ import annotations
@@ -13,6 +20,10 @@ from pathlib import Path
 from .graphs import Graph, MAX_VERTICES, from_rows
 
 _HEADER_PREFIX = ">>graph6<<"
+
+# the byte of each 6-bit group of the writer's stream, whose first bit is
+# its lowest: the group's bits reversed, offset by 63
+_GROUP_CHARS = tuple(chr(63 + int(f"{v:06b}"[::-1], 2)) for v in range(64))
 
 
 def _triangle_positions(n: int):
@@ -30,18 +41,14 @@ def write_graph6(g: Graph) -> str:
             chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)
         )
     adj = g.adj
-    bit_str = 0
+    stream = 0
+    nbits = 0
     for j in range(1, g.n):
-        for i in range(j):
-            bit_str = bit_str << 1 | (adj[i] >> j & 1)
-    nbits = g.n * (g.n - 1) // 2
-    pad = (-nbits) % 6
-    bit_str <<= pad
-    nbits += pad
-    body = "".join(
-        chr(63 + (bit_str >> shift & 63)) for shift in range(nbits - 6, -6, -6)
+        stream |= (adj[j] & (1 << j) - 1) << nbits
+        nbits += j
+    return head + "".join(
+        [_GROUP_CHARS[stream >> shift & 63] for shift in range(0, nbits, 6)]
     )
-    return head + body
 
 
 def parse_graph6(text: str) -> Graph:

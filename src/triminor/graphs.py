@@ -251,7 +251,7 @@ def induced(g: Graph, vertices) -> Graph:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     rows = [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
-    return from_rows(g.n, rows)
+    return Graph(g.n, tuple(rows), comb(g.n, 2) - g.edge_count)
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,16 @@ def _edge_invariant(g, u, v):
     return du, dv, (g.adj[u] & g.adj[v]).bit_count()
 
 
+def _ranking_by_scan(g):
+    """Reference: the (invariant, mask) pair of every edge of g, ascending,
+    the invariant packed as d1 << 14 | d2 << 7 | common."""
+    ranked = []
+    for u, v in g.edges():
+        d1, d2, common = _edge_invariant(g, u, v)
+        ranked.append((d1 << 14 | d2 << 7 | common, 1 << u | 1 << v))
+    return sorted(ranked)
+
+
 def _orbit_reps_by_pair_cert(g, pairs):
     """Reference: group pairs by invariant, then by pair certificate, and
     keep the first pair of each group."""
@@ -256,12 +266,13 @@ def test_canonical_child_test_matches_reference_on_every_child():
     for n, max_degree, expected in ((6, None, 1170), (7, None, 10962), (9, 2, 2106)):
         accepted = checked = kept = 0
         for parent in orderly_stream(n, max_degree=max_degree):
+            ranked = _ranking_by_scan(parent)
             for u in range(n):
                 for v in range(u + 1, n):
                     if parent.has_edge(u, v):
                         continue
                     child = _with_edge(parent, u, v)
-                    ties = _invariant_survivors(parent, [(u, v)]).get((u, v))
+                    ties = _invariant_survivors(parent, [(u, v)], ranked).get((u, v))
                     mine, gens = (False, None) if ties is None else (
                         _is_canonical_child(child, (u, v), ties))
                     assert mine == _is_canonical_child_by_min(child, (u, v)), (child.adj, u, v)
@@ -315,7 +326,7 @@ def test_invariant_prefilter_matches_full_scan():
         non_edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if not parent.has_edge(u, v)
         ]
-        survivors = _invariant_survivors(parent, non_edges)
+        survivors = _invariant_survivors(parent, non_edges, _ranking_by_scan(parent))
         # the same survivors in the same order, each with the same ties
         assert list(survivors.items()) == list(
             _survivors_by_full_scan(parent, non_edges).items()), parent.adj
@@ -328,12 +339,13 @@ def test_invariant_prefilter_matches_full_scan():
 
 
 def _watch_survivor_scans(monkeypatch):
-    """Record each (parent, non-edges) that reaches _invariant_survivors."""
+    """Record each (parent, non-edges, ranking) that reaches
+    _invariant_survivors, and pass them on unchanged."""
     scans = []
 
-    def watched(parent, non_edges):
-        scans.append((parent, list(non_edges)))
-        return _invariant_survivors(parent, non_edges)
+    def watched(parent, non_edges, ranked):
+        scans.append((parent, list(non_edges), list(ranked)))
+        return _invariant_survivors(parent, non_edges, ranked)
 
     monkeypatch.setattr(gen_module, "_invariant_survivors", watched)
     return scans
@@ -349,7 +361,7 @@ def test_degree_cap_scans_only_non_edges_below_the_cap(monkeypatch, n, d):
     capped = [g.adj for g in orderly_stream(n, max_degree=d)]
     assert capped == [adj for adj in full if max(r.bit_count() for r in adj) <= d]
     assert scans
-    for parent, non_edges in scans:
+    for parent, non_edges, _ in scans:
         deg = [row.bit_count() for row in parent.adj]
         assert non_edges == [
             (u, v) for u in range(n) for v in range(u + 1, n)
@@ -362,7 +374,22 @@ def test_edge_cap_gives_the_level_at_the_cap_no_children(monkeypatch):
     scans = _watch_survivor_scans(monkeypatch)
     capped = [g.adj for g in orderly_stream(6, max_edges=5)]
     assert capped == [adj for adj in full if sum(r.bit_count() for r in adj) <= 10]
-    assert {parent.edge_count for parent, _ in scans} == {0, 1, 2, 3, 4}
+    assert {parent.edge_count for parent, _, _ in scans} == {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("n, max_degree, max_edges", [
+    (7, None, None), (9, 3, None), (8, None, 10),
+])
+def test_stream_carries_each_parents_ranking(monkeypatch, n, max_degree, max_edges):
+    # the ranking each parent is expanded with, carried down from the empty
+    # graph's [] one added edge at a time, is the one a scan of its edges
+    # gives; every class below the edge cap is expanded once
+    scans = _watch_survivor_scans(monkeypatch)
+    stream = list(orderly_stream(n, max_degree, max_edges))
+    assert [parent for parent, _, _ in scans] == [
+        g for g in stream if max_edges is None or g.edge_count < max_edges]
+    for parent, _, ranked in scans:
+        assert ranked == _ranking_by_scan(parent), parent.adj
 
 
 @pytest.mark.parametrize("spec, searches, reused, refined, pair_certs, nodes, keys", [

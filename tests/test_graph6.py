@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import graph_from_code, random_graph_for_tests
+from triminor.generate import orderly_stream
 from triminor.graph6 import parse_graph6, read_corpus, write_graph6
-from triminor.graphs import complete, make_graph
+from triminor.graphs import complement, complete, make_graph
 from triminor.reports import ReportLine, emit_report
 from triminor.verify import CORPUS_RESOURCE, load_corpus
 
@@ -74,6 +75,42 @@ def test_agrees_with_networkx():
         assert set(back.edges()) == {tuple(e) for e in g.edges()} or set(
             map(frozenset, back.edges())
         ) == set(map(frozenset, g.edges()))
+
+
+def _write_graph6_bit_per_step(g):
+    """Reference: the stream x(0,1), x(0,2), x(1,2), ... built one bit per
+    step, first bit highest, padded with zeros to a multiple of six bits."""
+    if g.n <= 62:
+        head = chr(63 + g.n)
+    else:
+        head = "~" + "".join(chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0))
+    bit_str = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            bit_str = bit_str << 1 | (g.adj[i] >> j & 1)
+    nbits = g.n * (g.n - 1) // 2
+    pad = (-nbits) % 6
+    bit_str <<= pad
+    nbits += pad
+    return head + "".join(
+        chr(63 + (bit_str >> shift & 63)) for shift in range(nbits - 6, -6, -6)
+    )
+
+
+def test_column_writer_matches_bit_per_step_reference():
+    # every size, the long form at 63 and 64 included, and the complements
+    # that `gen --n 9 --min-degree 5` writes
+    rng = random.Random(28)
+    for n in range(1, 65):
+        for p in (0.0, 0.3, 0.7, 1.0):
+            g = random_graph_for_tests(n, rng, p)
+            assert write_graph6(g) == _write_graph6_bit_per_step(g), (n, g.adj)
+    written = 0
+    for s in orderly_stream(9, max_degree=3):
+        g = complement(s)
+        assert write_graph6(g) == _write_graph6_bit_per_step(g), g.adj
+        written += 1
+    assert written == 1165
 
 
 def test_nx_header_prefix_accepted():

@@ -188,6 +188,17 @@ def test_induced_and_complement():
         induced(petersen(), [])
 
 
+def test_complement_edge_count_matches_its_rows():
+    # the count is C(n, 2) minus the graph's, not a re-count of the rows;
+    # validate re-counts them
+    rng = random.Random(28)
+    graphs = [make_graph(n, []) for n in range(1, 65)]
+    graphs += [complete(n) for n in range(1, 65)]
+    graphs += [random_graph_for_tests(n, rng, rng.random()) for n in range(1, 65)]
+    for g in graphs:
+        validate(complement(g))
+
+
 def test_complement_involution():
     rng = random.Random(4)
     for _ in range(25):
