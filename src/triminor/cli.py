@@ -28,11 +28,13 @@ from pathlib import Path
 
 from .graph6 import parse_corpus, parse_graph6, read_corpus, write_graph6
 from .graphs import Graph, complete, min_triangle_edge
-from .minors import EXHAUSTIVE_HOST_LIMIT, PRUNE_IDS, has_minor
+from .minors import EXHAUSTIVE_HOST_LIMIT, has_minor
 from .reports import ReportLine, emit_report
 from .verify import CHECK_IDS, density_verdict, run_check
 
 EXIT_READER_GONE = 128 + 13  # 128 + SIGPIPE, the status a shell reports
+# `gen --prune` names the forbidden K_r; `generate` takes its r
+PRUNE_CHOICES = ("none", "K4", "K5", "K6", "K7", "K8")
 
 
 def _read_graphs(token: str) -> list[Graph]:
@@ -60,8 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="isomorph-free exhaustive generation")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--min-degree", type=int, default=0)
-    gen.add_argument("--prune", default="none",
-                     choices=PRUNE_IDS)
+    gen.add_argument("--prune", default="none", choices=PRUNE_CHOICES)
     gen.add_argument("--max-edges", type=int, default=None)
     gen.add_argument("--count-only", action="store_true")
     gen.add_argument("--out", default=None, help="corpus file (default stdout)")
@@ -104,17 +105,18 @@ def _cmd_gen(args) -> Iterator[ReportLine]:
     interrupted run keeps what it has written.  `--out` is opened at the
     first graph, so a run that generates none leaves it untouched."""
     # imported here so that a call that runs no generation never loads it
-    from .generate import GenSpec, generate, generate_count
+    from .generate import generate
 
     if args.count_only and args.out:
         raise ValueError("gen --count-only writes no corpus, so it takes no --out")
-    spec = GenSpec(args.n, args.min_degree, args.prune, args.max_edges)
+    prune = None if args.prune == "none" else int(args.prune[1:])
+    graphs = generate(args.n, args.min_degree, prune, args.max_edges)
     if args.count_only:
-        yield ReportLine("gen", f"n={args.n}", "witness", {"count": generate_count(spec)})
+        yield ReportLine("gen", f"n={args.n}", "witness", {"count": sum(1 for _ in graphs)})
         return
     with ExitStack() as stack:
         out = None if args.out else sys.stdout
-        for g in generate(spec):
+        for g in graphs:
             if out is None:
                 out = stack.enter_context(open(args.out, "w"))
             out.write(write_graph6(g) + "\n")
@@ -162,9 +164,7 @@ def _cmd_rigidity(args, g: Graph) -> dict:
     # imported here so that no other subcommand loads it
     from .rigidity import stress_space_dim
 
-    v = stress_space_dim(g, args.d, seed=args.seed, trials=args.trials)
-    return {"verdict": v.verdict, "dim": v.dim, "trials": v.trials,
-            "prime": v.prime, "error_bound": v.error_bound}
+    return stress_space_dim(g, args.d, seed=args.seed, trials=args.trials)._asdict()
 
 
 @_per_graph
@@ -172,15 +172,12 @@ def _cmd_chroma(args, g: Graph) -> dict:
     # imported here so that no other subcommand loads it
     from .coloring import chromatic_number
 
-    r = chromatic_number(g)
-    return {"chi": r.chi, "coloring": list(r.coloring)}
+    return chromatic_number(g)._asdict()
 
 
 @_per_graph
 def _cmd_density(args, g: Graph) -> dict:
-    v = density_verdict(g, args.k)
-    return {"k": args.k, "premise": v.premise, "conclusion": v.conclusion,
-            "triangles": v.triangles, "edges": v.edges}
+    return {"k": args.k, **density_verdict(g, args.k)._asdict()}
 
 
 _COMMANDS = {

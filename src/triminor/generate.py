@@ -26,68 +26,23 @@ Hereditary pruning cuts whole subtrees: a predicate that can never be
 repaired by further edge additions (degree caps, edge caps, forbidden clique
 minors) rejects a graph together with all its supergraphs.
 
-Generation under a minimum-degree constraint runs on the complement side
-when that is cheaper: graphs with min degree >= d on n vertices are exactly
-the complements of graphs with max degree <= n-1-d, and the latter class is
-usually far smaller.
+`generate(n, min_degree, prune, max_edges)` takes its job as plain
+arguments, the prune as the r of the forbidden K_r that
+`minors.kr_minor_verdict` asks about, and checks them before the first
+graph.  Generation under a minimum-degree constraint runs on the
+complement side when that is cheaper: graphs with min degree >= d on n
+vertices are exactly the complements of graphs with max degree <= n-1-d,
+and the latter class is usually far smaller.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from .canon import automorphisms, cell_positions, orbit, pair_cert
 from .graphs import Graph, complement, from_rows, mader_edge_cap
-from .minors import EXHAUSTIVE_HOST_LIMIT, PRUNE_IDS, kr_minor_verdict
-
-
-class _GenFields(NamedTuple):
-    n: int
-    min_degree: int = 0
-    prune: str = "none"
-    max_edges: int | None = None
-
-
-class GenSpec(_GenFields):
-    """Declarative enumeration job.
-
-    min_degree applies to completed (emitted) graphs; prune is a hereditary
-    predicate id; max_edges an optional cap on emitted edge counts.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, min_degree: int = 0, prune: str = "none",
-                max_edges: int | None = None):
-        if prune not in PRUNE_IDS:
-            raise ValueError(f"unknown prune id {prune!r}, have {PRUNE_IDS}")
-        if not 1 <= n <= 64:
-            raise ValueError(f"n={n} outside 1..64")
-        if max_edges is not None and max_edges < 0:
-            raise ValueError(f"max_edges {max_edges} is negative")
-        if min_degree < 0:
-            raise ValueError(f"min_degree {min_degree} is negative")
-        if min_degree >= n:
-            raise ValueError(f"min_degree {min_degree} infeasible for n={n}")
-        if prune != "none" and n > EXHAUSTIVE_HOST_LIMIT:
-            raise ValueError(
-                f"minor-pruned generation capped at n={EXHAUSTIVE_HOST_LIMIT}"
-            )
-        if prune == "none" and max_edges is None and n > 10:
-            if min_degree < n - 5:
-                raise ValueError(
-                    "unconstrained generation beyond n=10 needs an edge cap"
-                )
-        return super().__new__(cls, n, min_degree, prune, max_edges)
-
-    @classmethod
-    def _make(cls, iterable):
-        # `_replace` builds through this, so a replaced spec is checked too
-        return cls(*iterable)
-
-    def prune_order(self) -> int | None:
-        return None if self.prune == "none" else int(self.prune[1:])
+from .minors import EXHAUSTIVE_HOST_LIMIT, kr_minor_verdict
 
 
 def _invariant_survivors(
@@ -337,24 +292,41 @@ def orderly_stream(
         stack.extend(reversed(children))
 
 
-def generate(spec: GenSpec) -> Iterator[Graph]:
-    """One representative per isomorphism class meeting the GenSpec."""
-    r = spec.prune_order()
-    n = spec.n
-    comp_cap = n - 1 - spec.min_degree
+def generate(
+    n: int, min_degree: int = 0, prune: int | None = None, max_edges: int | None = None
+) -> Iterator[Graph]:
+    """One representative per isomorphism class of the graphs on n vertices
+    with minimum degree at least `min_degree`, no K_r minor for r = `prune`
+    (4..8, or None for no prune) and at most `max_edges` edges (None: no
+    cap).  The arguments are checked before the first graph is yielded."""
+    if prune is not None and prune not in range(4, 9):
+        raise ValueError(f"unknown prune r={prune!r}, have 4..8")
+    if not 1 <= n <= 64:
+        raise ValueError(f"n={n} outside 1..64")
+    if max_edges is not None and max_edges < 0:
+        raise ValueError(f"max_edges {max_edges} is negative")
+    if min_degree < 0:
+        raise ValueError(f"min_degree {min_degree} is negative")
+    if min_degree >= n:
+        raise ValueError(f"min_degree {min_degree} infeasible for n={n}")
+    if prune is not None and n > EXHAUSTIVE_HOST_LIMIT:
+        raise ValueError(f"minor-pruned generation capped at n={EXHAUSTIVE_HOST_LIMIT}")
+    if prune is None and max_edges is None and n > 10 and min_degree < n - 5:
+        raise ValueError("unconstrained generation beyond n=10 needs an edge cap")
+    comp_cap = n - 1 - min_degree
     comp_budget = n * comp_cap // 2
-    if spec.max_edges is not None:
-        direct_budget = spec.max_edges
-    elif r is not None:
-        direct_budget = max(mader_edge_cap(n, r), 0)
+    if max_edges is not None:
+        direct_budget = max_edges
+    elif prune is not None:
+        direct_budget = max(mader_edge_cap(n, prune), 0)
     else:
         direct_budget = n * (n - 1) // 2
 
     def under_edge_cap(g: Graph) -> bool:
-        return spec.max_edges is None or g.edge_count <= spec.max_edges
+        return max_edges is None or g.edge_count <= max_edges
 
     def minor_free(g: Graph) -> bool:
-        return r is None or not kr_minor_verdict(g, r)
+        return prune is None or not kr_minor_verdict(g, prune)
 
     if comp_budget < direct_budget:
         # complement side: the max-degree cap is the hereditary prune
@@ -363,10 +335,6 @@ def generate(spec: GenSpec) -> Iterator[Graph]:
             if under_edge_cap(g) and minor_free(g):
                 yield g
     else:
-        for g in orderly_stream(n, max_edges=spec.max_edges, keep_after=minor_free):
-            if g.min_degree() >= spec.min_degree:
+        for g in orderly_stream(n, max_edges=max_edges, keep_after=minor_free):
+            if g.min_degree() >= min_degree:
                 yield g
-
-
-def generate_count(spec: GenSpec) -> int:
-    return sum(1 for _ in generate(spec))

@@ -41,9 +41,6 @@ from .cliques import has_clique
 from .graphs import Graph, bits, from_rows, mader_edge_cap
 
 EXHAUSTIVE_HOST_LIMIT = 16
-# the prune ids `generate.GenSpec` takes, kept here so that the CLI's parser
-# can offer them without importing `generate`
-PRUNE_IDS = ("none", "K4", "K5", "K6", "K7", "K8")
 
 
 class MinorWitness(NamedTuple):

@@ -29,7 +29,6 @@ from .graphs import (
     complete,
     complete_multipartite,
     double_axle_wheel,
-    from_rows,
     induced,
     k_tree,
     make_graph,
@@ -117,26 +116,6 @@ def random_kr_minor_free(r: int, rng: random.Random, n_max: int) -> Graph:
             return g
 
 
-def random_planar_triangulation(n: int, rng: random.Random) -> Graph:
-    """Stacked triangulation: grow K4 by repeatedly placing a vertex in a
-    random triangular face."""
-    if n < 4:
-        raise ValueError("triangulations need at least 4 vertices")
-    rows = [0] * n
-    for u in range(4):
-        for v in range(u + 1, 4):
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    for w in range(4, n):
-        a, b, c = faces.pop(rng.randrange(len(faces)))
-        for u in (a, b, c):
-            rows[u] |= 1 << w
-            rows[w] |= 1 << u
-        faces.extend([(a, b, w), (a, c, w), (b, c, w)])
-    return from_rows(n, rows)
-
-
 # ---------------------------------------------------------------------------
 # Check implementations
 
@@ -156,11 +135,11 @@ def _check_wheels_r6() -> Check:
     """Graphs on 6..7 vertices, min degree 4, no K5-minor: exactly the two
     double-axle wheels, each with 3n-6 edges and every edge in 2 triangles."""
     # imported here so that a call that runs no generation never loads it
-    from .generate import GenSpec, generate
+    from .generate import generate
 
     found = []
     for n in (6, 7):
-        found.extend(generate(GenSpec(n, min_degree=4, prune="K5")))
+        found.extend(generate(n, min_degree=4, prune=5))
     wheels = [double_axle_wheel(4), double_axle_wheel(5)]
     for g in found:
         t0 = time.monotonic()
@@ -182,12 +161,12 @@ def _check_list22_r7() -> Check:
     plus dominating vertex), so the count record reports honestly.
     """
     # imported here so that a call that runs no generation never loads it
-    from .generate import GenSpec, generate
+    from .generate import generate
 
     t0 = time.monotonic()
     regenerated: list[Graph] = []
     for n in range(6, 10):
-        regenerated.extend(generate(GenSpec(n, min_degree=5, prune="K6")))
+        regenerated.extend(generate(n, min_degree=5, prune=6))
     corpus = load_corpus()
     fresh = sorted(canonical_cert(g) for g in regenerated)
     shipped = sorted(canonical_cert(g) for g in corpus)
@@ -289,7 +268,7 @@ def _check_lemma_compk8(n: int = 8, workers: int = 1) -> Check:
     the double-apex augmentation.  Exceptional graphs must have every edge in
     fewer than 5 triangles."""
     # imported here so that a call that runs no generation never loads it
-    from .generate import GenSpec, generate
+    from .generate import generate
 
     if n not in (8, 9, 10, 11):
         raise ValueError(f"lemma-compk8 takes n in 8..11, got {n}")
@@ -301,7 +280,7 @@ def _check_lemma_compk8(n: int = 8, workers: int = 1) -> Check:
     exc_name, exc_graph, exc_tri = _COMPK8_EXCEPTIONS.get(n, (None, None, None))
     graphs = 0
     ordinary = []
-    for g in generate(GenSpec(n, min_degree=6, prune="K7")):
+    for g in generate(n, min_degree=6, prune=7):
         graphs += 1
         if exc_graph is not None and is_isomorphic(g, exc_graph):
             t0 = time.monotonic()

@@ -203,6 +203,26 @@ def random_graph_for_tests(n: int, rng, p: float = 0.5) -> Graph:
     return make_graph(n, edges)
 
 
+def random_planar_triangulation(n: int, rng) -> Graph:
+    """Stacked triangulation: grow K4 by repeatedly placing a vertex in a
+    random triangular face."""
+    if n < 4:
+        raise ValueError("triangulations need at least 4 vertices")
+    rows = [0] * n
+    for u in range(4):
+        for v in range(u + 1, 4):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    for w in range(4, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        for u in (a, b, c):
+            rows[u] |= 1 << w
+            rows[w] |= 1 << u
+        faces.extend([(a, b, w), (a, c, w), (b, c, w)])
+    return from_rows(n, rows)
+
+
 def all_graphs_on(n: int):
     """Every labeled graph on n vertices (n <= 6 in practice)."""
     pairs = list(itertools.combinations(range(n), 2))

@@ -19,10 +19,11 @@ from oracles import (
     isomorphic_brute,
     kr_minor_brute,
     orbit_classes_on,
+    random_planar_triangulation,
     triangles_on_edge_brute,
 )
 from triminor.canon import canonical_cert, is_isomorphic
-from triminor.generate import GenSpec, generate, orderly_stream
+from triminor.generate import generate, orderly_stream
 from triminor.graph6 import parse_graph6
 from triminor.graphs import (
     complement,
@@ -44,7 +45,6 @@ from triminor.rigidity import stress_space_dim, whiteley_reduce
 from triminor.verify import (
     load_corpus,
     random_kr_minor_free,
-    random_planar_triangulation,
     run_check,
 )
 
@@ -97,7 +97,7 @@ def test_criterion_01_golden_enumeration():
     oracle_free = sorted(
         canonical_cert(g)
         for n in range(6, 10)
-        for g in generate(GenSpec(n, min_degree=5))
+        for g in generate(n, min_degree=5)
         if not kr_minor_brute(g, 6, memo)
     )
     filter_ok = oracle_free == sorted(canonical_cert(g) for g in graphs)
@@ -129,7 +129,7 @@ def test_criterion_01_golden_enumeration():
 def test_criterion_02_wheels():
     found = []
     for n in (6, 7):
-        found.extend(generate(GenSpec(n, min_degree=4, prune="K5")))
+        found.extend(generate(n, min_degree=4, prune=5))
     wheels = [double_axle_wheel(4), double_axle_wheel(5)]
     shape_ok = all(
         any(is_isomorphic(g, w) for w in wheels)

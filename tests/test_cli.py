@@ -91,12 +91,12 @@ def test_gen_corpus_and_count(tmp_path):
 def test_gen_writes_each_graph_before_generation_fails(monkeypatch, capsys, tmp_path):
     # `gen` imports generate when it runs, so it reads the patched function
     import triminor.generate as generate_module
-    from triminor.generate import GenSpec, generate
+    from triminor.generate import generate
 
-    first_two = list(generate(GenSpec(4)))[:2]
+    first_two = list(generate(4))[:2]
     expected = "".join(write_graph6(g) + "\n" for g in first_two)
 
-    def fails_after_two(spec):
+    def fails_after_two(*args, **kwargs):
         yield from first_two
         raise ValueError("generation stopped")
 
@@ -108,6 +108,30 @@ def test_gen_writes_each_graph_before_generation_fails(monkeypatch, capsys, tmp_
     out = tmp_path / "partial.g6"
     assert main(["gen", "--n", "4", "--out", str(out)]) == 2
     assert out.read_text() == expected
+
+
+def test_prune_choices_are_the_r_that_generate_takes(monkeypatch, capsys):
+    # K4..K8 reach `generate` as the int r; K3 and K9 are usage errors
+    import triminor.generate as generate_module
+
+    real_generate = generate_module.generate
+    given = []
+
+    def watched(n, min_degree, prune, max_edges):
+        given.append(prune)
+        return real_generate(n, min_degree, prune, max_edges)
+
+    monkeypatch.setattr(generate_module, "generate", watched)
+    for r in range(4, 9):
+        assert main(["gen", "--n", "5", "--prune", f"K{r}", "--count-only"]) == 0
+    assert main(["gen", "--n", "5", "--count-only"]) == 0
+    assert given == [4, 5, 6, 7, 8, None]
+    capsys.readouterr()
+    for bad in ("K3", "K9"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gen", "--n", "5", "--prune", bad])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{bad}'" in capsys.readouterr().err
 
 
 def test_gen_out_untouched_when_nothing_is_generated(tmp_path):
@@ -131,6 +155,61 @@ def test_chroma_density_rigidity_roundtrip():
     rig = records(run_cli(["rigidity", "--d", "6", "--seed", "1", g6]).stdout)[0]
     assert rig["witness"]["verdict"] == "stressed"
     assert rig["witness"]["dim"] >= 1
+
+
+# The exact stdout of each subcommand, the per-graph ones reading two
+# fixed inputs from stdin: K_{2,2,2,2,2}, which holds every minor asked
+# here, and the Petersen graph.  Captured before the CLI printed the
+# library's result tuples directly; how a subcommand builds its record
+# must leave these bytes as they are.
+_PIN_INPUT = b"I]~v~z~~o\nIheA@GUAo\n"
+
+
+def _record(check, g6, witness):
+    return ('{"check": "%s", "input": "%s", "verdict": "witness", "witness": %s, '
+            '"millis": 0}\n' % (check, g6, witness))
+
+
+@pytest.mark.parametrize("args, stdout", [
+    pytest.param(["gen", "--n", "6", "--min-degree", "4", "--prune", "K5"],
+                 "E]~o\n", id="gen"),
+    pytest.param(["gen", "--n", "7", "--prune", "K5", "--count-only"],
+                 _record("gen", "n=7", '{"count": 869}'), id="gen-count"),
+    pytest.param(["minor", "--pattern", "K5", "-"], _record(
+        "minor", "I]~v~z~~o", '{"pattern": "K5", "result": "minor", '
+        '"branch_sets": [[1], [3], [5], [7], [9]]}') + _record(
+        "minor", "IheA@GUAo", '{"pattern": "K5", "result": "minor", '
+        '"branch_sets": [[0, 1], [2, 3], [4, 9], [5, 7], [6, 8]]}'), id="minor-K5"),
+    pytest.param(["minor", "--pattern", "Cl", "-"], _record(
+        "minor", "I]~v~z~~o", '{"pattern": "Cl", "result": "minor", '
+        '"branch_sets": [[0], [1, 2], [3], [4]]}') + _record(
+        "minor", "IheA@GUAo", '{"pattern": "Cl", "result": "minor", '
+        '"branch_sets": [[0], [1], [2], [3, 4]]}'), id="minor-C4"),
+    pytest.param(["triangles", "--cap", "9", "-"], _record(
+        "triangles", "I]~v~z~~o", '{"min_count": 6, "edge": [0, 2], "degree_cap": 9}'
+    ) + _record(
+        "triangles", "IheA@GUAo", '{"min_count": 0, "edge": [0, 1], "degree_cap": 9}'
+    ), id="triangles"),
+    pytest.param(["rigidity", "--d", "3", "--seed", "1", "-"], _record(
+        "rigidity", "I]~v~z~~o", '{"verdict": "stressed", "dim": 16, "trials": 3, '
+        '"prime": 2305843009213693951, "error_bound": 2.202290257949502e-51}') + _record(
+        "rigidity", "IheA@GUAo", '{"verdict": "stress-free", "dim": 0, "trials": 1, '
+        '"prime": 2305843009213693951, "error_bound": 0.0}'), id="rigidity"),
+    pytest.param(["chroma", "-"], _record(
+        "chroma", "I]~v~z~~o", '{"chi": 5, "coloring": [4, 4, 3, 3, 2, 2, 1, 1, 0, 0]}'
+    ) + _record(
+        "chroma", "IheA@GUAo", '{"chi": 3, "coloring": [0, 1, 0, 1, 2, 2, 2, 1, 0, 0]}'
+    ), id="chroma"),
+    pytest.param(["density", "--k", "6", "-"], _record(
+        "density", "I]~v~z~~o", '{"k": 6, "premise": true, "conclusion": true, '
+        '"triangles": 80, "edges": 40}') + _record(
+        "density", "IheA@GUAo", '{"k": 6, "premise": false, "conclusion": false, '
+        '"triangles": 0, "edges": 15}'), id="density"),
+])
+def test_subcommand_stdout_is_pinned(args, stdout):
+    proc = subprocess.run([sys.executable, "-m", "triminor.cli", *args],
+                          input=_PIN_INPUT, capture_output=True, timeout=600)
+    assert (proc.returncode, proc.stdout) == (0, stdout.encode())
 
 
 def test_stdin_and_file_inputs(tmp_path):
@@ -343,9 +422,9 @@ def test_summary_carries_the_whole_checks_time_under_timing(monkeypatch, capsys)
 
     real_generate = generate_module.generate
 
-    def slow_generate(spec):
+    def slow_generate(*args, **kwargs):
         time.sleep(0.05)
-        return real_generate(spec)
+        return real_generate(*args, **kwargs)
 
     monkeypatch.setattr(generate_module, "generate", slow_generate)
     args = ["verify", "--check", "lemma-compk8", "--n", "8"]

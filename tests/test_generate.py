@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 from math import factorial
 
@@ -16,13 +17,11 @@ from triminor.canon import (
     pair_cert,
 )
 from triminor.generate import (
-    GenSpec,
     _invariant_survivors,
     _is_canonical_child,
     _orbit_reps,
     _with_edge,
     generate,
-    generate_count,
     orderly_stream,
 )
 from triminor.graph6 import write_graph6
@@ -45,30 +44,30 @@ def test_import_binds_the_generate_module():
 
 
 def test_forced_k5():
-    out = list(generate(GenSpec(5, min_degree=4)))
+    out = list(generate(5, min_degree=4))
     assert len(out) == 1
     assert is_isomorphic(out[0], complete(5))
 
 
 def test_wheels():
-    got6 = list(generate(GenSpec(6, min_degree=4, prune="K5")))
-    got7 = list(generate(GenSpec(7, min_degree=4, prune="K5")))
+    got6 = list(generate(6, min_degree=4, prune=5))
+    got7 = list(generate(7, min_degree=4, prune=5))
     assert len(got6) == len(got7) == 1
     assert is_isomorphic(got6[0], double_axle_wheel(4))
     assert is_isomorphic(got7[0], double_axle_wheel(5))
 
 
 def test_small_counts():
-    assert generate_count(GenSpec(4)) == 11
-    assert generate_count(GenSpec(5)) == 34
-    assert generate_count(GenSpec(6, min_degree=5)) == 1
+    assert sum(1 for _ in generate(4)) == 11
+    assert sum(1 for _ in generate(5)) == 34
+    assert sum(1 for _ in generate(6, min_degree=5)) == 1
     assert sum(1 for _ in orderly_stream(7)) == 1044
 
 
 def test_complete_against_labeled_enumeration_upto_6():
     for n in (1, 2, 3, 4, 5, 6):
         brute = {canonical_cert(g) for g in all_graphs_on(n)}
-        mine = [canonical_cert(g) for g in generate(GenSpec(n))]
+        mine = [canonical_cert(g) for g in generate(n)]
         assert len(mine) == len(set(mine)) == len(brute)
         assert set(mine) == brute
 
@@ -94,7 +93,7 @@ def test_corpus_slice_n7_against_full_labeled_enumeration():
         g = from_rows(7, rows)
         if not kr_minor_verdict(g, 6):
             survivors.add(canonical_cert(g))
-    mine = {canonical_cert(g) for g in generate(GenSpec(7, min_degree=5, prune="K6"))}
+    mine = {canonical_cert(g) for g in generate(7, min_degree=5, prune=6)}
     assert survivors == mine
     octahedron_plus_apex = attach_vertex(complete_multipartite(2, 2, 2), range(6))
     assert survivors == {canonical_cert(octahedron_plus_apex)}
@@ -105,7 +104,7 @@ def test_min_degree_filter_matches_brute_force():
         brute = {
             canonical_cert(g) for g in all_graphs_on(n) if g.min_degree() >= d
         }
-        mine = {canonical_cert(g) for g in generate(GenSpec(n, min_degree=d))}
+        mine = {canonical_cert(g) for g in generate(n, min_degree=d)}
         assert mine == brute
 
 
@@ -115,12 +114,12 @@ def test_k5_pruned_generation_matches_filtered_brute_force():
         for g in all_graphs_on(6)
         if g.min_degree() >= 3 and not kr_minor_verdict(g, 5)
     }
-    mine = {canonical_cert(g) for g in generate(GenSpec(6, min_degree=3, prune="K5"))}
+    mine = {canonical_cert(g) for g in generate(6, min_degree=3, prune=5)}
     assert mine == brute
 
 
 def test_n8_min_degree6_k7_free():
-    got = list(generate(GenSpec(8, min_degree=6, prune="K7")))
+    got = list(generate(8, min_degree=6, prune=7))
     certs = {canonical_cert(g) for g in got}
     assert canonical_cert(complete_multipartite(2, 2, 2, 2)) in certs
     # independent pipeline: min degree >= 6 on 8 vertices means the
@@ -147,12 +146,12 @@ def test_n8_min_degree6_k7_free():
 
 
 def test_no_duplicate_certs():
-    for spec in (
-        GenSpec(6),
-        GenSpec(7, min_degree=4, prune="K5"),
-        GenSpec(8, min_degree=5, prune="K6"),
+    for args in (
+        dict(n=6),
+        dict(n=7, min_degree=4, prune=5),
+        dict(n=8, min_degree=5, prune=6),
     ):
-        certs = [canonical_cert(g) for g in generate(spec)]
+        certs = [canonical_cert(g) for g in generate(**args)]
         assert len(certs) == len(set(certs))
 
 
@@ -392,13 +391,13 @@ def test_stream_carries_each_parents_ranking(monkeypatch, n, max_degree, max_edg
         assert ranked == _ranking_by_scan(parent), parent.adj
 
 
-@pytest.mark.parametrize("spec, searches, reused, refined, pair_certs, nodes, keys", [
-    pytest.param(GenSpec(9, min_degree=5), 740, 183, 813, 47, 2799, 100, id="n9-mindeg5"),
-    pytest.param(GenSpec(9, min_degree=6, prune="K7"), 65, 23, 56, 7, 423, 26,
+@pytest.mark.parametrize("args, searches, reused, refined, pair_certs, nodes, keys", [
+    pytest.param(dict(n=9, min_degree=5), 740, 183, 813, 47, 2799, 100, id="n9-mindeg5"),
+    pytest.param(dict(n=9, min_degree=6, prune=7), 65, 23, 56, 7, 423, 26,
                  id="n9-mindeg6-K7"),
 ])
 def test_parent_automorphism_search_only_on_invariant_survivors(
-    monkeypatch, spec, searches, reused, refined, pair_certs, nodes, keys
+    monkeypatch, args, searches, reused, refined, pair_certs, nodes, keys
 ):
     # one search per parent would be 1,165 and 70 here; the children that
     # tie on the invariant are refined once each; the 469 and 52 children
@@ -433,7 +432,7 @@ def test_parent_automorphism_search_only_on_invariant_survivors(
         return orbit_reps(g, pairs, gens)
 
     monkeypatch.setattr(gen_module, "_orbit_reps", watched)
-    sum(1 for _ in generate(spec))
+    sum(1 for _ in generate(**args))
     assert calls == {"automorphisms": searches, "cell_positions": refined,
                      "pair_cert": pair_certs}
     assert sum(given) == reused
@@ -448,24 +447,24 @@ def test_parent_automorphism_search_only_on_invariant_survivors(
 # pins below; re-captured when the stream became depth-first, with the
 # sorted lines unchanged; the two marked slow take about 2 s each on a
 # 2-core machine
-@pytest.mark.parametrize("spec, lines, digest", [
+@pytest.mark.parametrize("args, lines, digest", [
     pytest.param(
-        GenSpec(7), 1044, "68346e32fc8085f83ed6f4f72fffa29e842eeba1ca015801ddce3ca2d4477c00",
+        dict(n=7), 1044, "68346e32fc8085f83ed6f4f72fffa29e842eeba1ca015801ddce3ca2d4477c00",
         id="n7"),
     pytest.param(
-        GenSpec(9, min_degree=5), 1165,
+        dict(n=9, min_degree=5), 1165,
         "a6b593b97a3e1f330710ec54748a53a8423d998beba4d7c1a6af83778a07674f",
         id="n9-mindeg5"),
     pytest.param(
-        GenSpec(8), 12346, "438f43144c08931886df4258dfbeea64774124f918263755f1fb04586b5f8f0d",
+        dict(n=8), 12346, "438f43144c08931886df4258dfbeea64774124f918263755f1fb04586b5f8f0d",
         id="n8", marks=pytest.mark.slow),
     pytest.param(
-        GenSpec(10, min_degree=6, prune="K7"), 122,
+        dict(n=10, min_degree=6, prune=7), 122,
         "419fc43f4e576004edc7fc7fded49cd89102cbea7e87b0b3f87b55fbf34fc184",
         id="n10-mindeg6-K7", marks=pytest.mark.slow),
 ])
-def test_gen_stream_is_pinned(spec, lines, digest):
-    text = "".join(write_graph6(g) + "\n" for g in generate(spec))
+def test_gen_stream_is_pinned(args, lines, digest):
+    text = "".join(write_graph6(g) + "\n" for g in generate(**args))
     assert text.count("\n") == lines
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -474,35 +473,35 @@ def test_gen_stream_is_pinned(spec, lines, digest):
 # the direct side's K5-pruned --n 7 stream, joined: it pins the class sets,
 # not the representatives, so a change to the canonical deletion edge must
 # keep it; captured before the cell-key tie-break
-@pytest.mark.parametrize("spec, classes, digest", [
+@pytest.mark.parametrize("args, classes, digest", [
     pytest.param(
-        GenSpec(7), 1044, "6327502e6233679c2a1d8649f70d50a51adbdbd7d58e293ff147404fa2103262",
+        dict(n=7), 1044, "6327502e6233679c2a1d8649f70d50a51adbdbd7d58e293ff147404fa2103262",
         id="n7"),
     pytest.param(
-        GenSpec(9, min_degree=5), 1165,
+        dict(n=9, min_degree=5), 1165,
         "8385586e369a18a37d924304a10cc8a25cae30c9da718b31f3b2bff8c41f734a",
         id="n9-mindeg5"),
     pytest.param(
-        GenSpec(7, prune="K5"), 869,
+        dict(n=7, prune=5), 869,
         "de41c6743a7d5eeb8b968c36e4760a4104d6c51b27303b0cacbd33a7b022a7c4",
         id="n7-K5"),
     pytest.param(
-        GenSpec(8), 12346, "2c15058da91c17c9e628209e81705ca9bbd1d6299e11e43bcdbc3e0875a6fe66",
+        dict(n=8), 12346, "2c15058da91c17c9e628209e81705ca9bbd1d6299e11e43bcdbc3e0875a6fe66",
         id="n8", marks=pytest.mark.slow),
     pytest.param(
-        GenSpec(10, min_degree=6, prune="K7"), 122,
+        dict(n=10, min_degree=6, prune=7), 122,
         "f8f2dc11539e9b1ffb735886d938f7492f978ab475cd328d0554bf19087bbf9c",
         id="n10-mindeg6-K7", marks=pytest.mark.slow),
 ])
-def test_gen_class_set_is_pinned(spec, classes, digest):
-    certs = sorted(canonical_cert(g) for g in generate(spec))
+def test_gen_class_set_is_pinned(args, classes, digest):
+    certs = sorted(canonical_cert(g) for g in generate(**args))
     assert len(certs) == classes
     assert hashlib.sha256(b"".join(certs)).hexdigest() == digest
 
 
 def test_stream_is_deterministic():
-    a = [g.adj for g in generate(GenSpec(7, min_degree=4, prune="K5"))]
-    b = [g.adj for g in generate(GenSpec(7, min_degree=4, prune="K5"))]
+    a = [g.adj for g in generate(7, min_degree=4, prune=5)]
+    b = [g.adj for g in generate(7, min_degree=4, prune=5)]
     assert a == b
     c = [g.adj for g in orderly_stream(5)]
     d = [g.adj for g in orderly_stream(5)]
@@ -510,7 +509,7 @@ def test_stream_is_deterministic():
 
 
 def test_emitted_graphs_satisfy_spec():
-    for g in generate(GenSpec(8, min_degree=5, prune="K6", max_edges=22)):
+    for g in generate(8, min_degree=5, prune=6, max_edges=22):
         assert g.min_degree() >= 5
         assert g.edge_count <= 22
         assert not kr_minor_verdict(g, 6)
@@ -539,31 +538,40 @@ def test_hereditary_soundness_spot_check():
 def test_large_n_with_edge_cap():
     # beyond desk scale only edge-capped jobs run; 20 vertices, <= 2 edges:
     # empty, one edge, two disjoint edges, a path on three vertices
-    out = list(generate(GenSpec(20, max_edges=2)))
+    out = list(generate(20, max_edges=2))
     assert len(out) == 4
     assert sorted(g.edge_count for g in out) == [0, 1, 2, 2]
 
 
-def test_genspec_validation():
-    with pytest.raises(ValueError):
-        GenSpec(5, prune="K9")
-    with pytest.raises(ValueError):
-        GenSpec(5, min_degree=5)
-    with pytest.raises(ValueError):
-        GenSpec(5, min_degree=-1)
-    with pytest.raises(ValueError):
-        GenSpec(0)
-    with pytest.raises(ValueError):
-        GenSpec(17, prune="K6")
-    with pytest.raises(ValueError):
-        GenSpec(30)  # unconstrained beyond desk scale needs a cap
-    GenSpec(12, max_edges=14)  # edge-capped large runs are fine
+@pytest.mark.parametrize("args, message", [
+    pytest.param(dict(n=5, prune=9), "unknown prune r=9, have 4..8", id="prune-9"),
+    pytest.param(dict(n=5, prune=3), "unknown prune r=3, have 4..8", id="prune-3"),
+    pytest.param(dict(n=5, prune="K5"), "unknown prune r='K5', have 4..8",
+                 id="prune-id"),
+    pytest.param(dict(n=0), "n=0 outside 1..64", id="n-0"),
+    pytest.param(dict(n=5, max_edges=-1), "max_edges -1 is negative", id="max-edges"),
+    pytest.param(dict(n=5, min_degree=-1), "min_degree -1 is negative", id="min-degree"),
+    pytest.param(dict(n=5, min_degree=5), "min_degree 5 infeasible for n=5",
+                 id="min-degree-n"),
+    pytest.param(dict(n=17, prune=6), "minor-pruned generation capped at n=16",
+                 id="pruned-n-17"),
+    pytest.param(dict(n=30), "unconstrained generation beyond n=10 needs an edge cap",
+                 id="uncapped-n-30"),
+])
+def test_generate_refuses_bad_arguments(monkeypatch, args, message):
+    # refused before the first graph, so before any stream is started
+    def no_stream(*_, **__):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(gen_module, "orderly_stream", no_stream)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        next(generate(**args))
 
 
 def test_mader_bound_on_generated_minor_free():
-    for r, spec in ((5, GenSpec(7, min_degree=3, prune="K5")),
-                    (6, GenSpec(8, min_degree=5, prune="K6"))):
-        for g in generate(spec):
+    for r, args in ((5, dict(n=7, min_degree=3, prune=5)),
+                    (6, dict(n=8, min_degree=5, prune=6))):
+        for g in generate(**args):
             assert g.edge_count <= mader_edge_cap(g.n, r)
 
 
@@ -581,7 +589,7 @@ def test_direct_side_pruning_asks_the_kernel_once_per_class(monkeypatch):
         return kr_minor_verdict(g, r)
 
     monkeypatch.setattr(gen_module, "kr_minor_verdict", counting)
-    text = "".join(write_graph6(g) + "\n" for g in generate(GenSpec(7, prune="K5")))
+    text = "".join(write_graph6(g) + "\n" for g in generate(7, prune=5))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "189d97450b6adb85f1b854508c1a409b3825e1f626441a2a54e4191b57b5b640"
     )

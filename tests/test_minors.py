@@ -23,7 +23,7 @@ from oracles import (
 )
 import triminor
 from triminor import canon, minors
-from triminor.generate import GenSpec, generate
+from triminor.generate import generate
 from triminor.graph6 import parse_graph6
 from triminor.graphs import (
     complete,
@@ -218,7 +218,7 @@ def test_seeded_flows_match_brute_force_on_dense_graphs():
 
 
 def test_vertex_connectivity_matches_networkx_on_compk8_classes():
-    graphs = list(generate(GenSpec(9, min_degree=6, prune="K7")))
+    graphs = list(generate(9, min_degree=6, prune=7))
     assert graphs
     for g in graphs:
         h = nx.empty_graph(g.n)
@@ -350,7 +350,7 @@ def test_apex_sweep_never_asks_what_it_can_answer(monkeypatch):
 
 
 def test_double_apex_matches_all_subsets_sweep():
-    hosts = list(generate(GenSpec(9, min_degree=6, prune="K7")))
+    hosts = list(generate(9, min_degree=6, prune=7))
     assert len(hosts) == 18
     hosts.append(complete_multipartite(2, 2, 2, 2))
     hosts.append(make_graph(

@@ -1,12 +1,11 @@
 """The records are named tuples; they keep the value semantics that sets,
-dicts, graph6 round trips and worker processes rely on, and the two that
-validate still refuse bad fields however they are built."""
+dicts, graph6 round trips and worker processes rely on, and the one that
+validates still refuses bad fields however it is built."""
 
 import pickle
 
 import pytest
 
-from triminor.generate import GenSpec
 from triminor.graph6 import parse_graph6, write_graph6
 from triminor.graphs import (
     complete,
@@ -63,27 +62,3 @@ def test_report_line_keeps_its_fields():
     assert ReportLine("c", "i", "pass").witness is None
     assert ReportLine("c", "i", "pass").millis == 0
     assert line._replace(millis=0) == ReportLine("c", "i", "fail", {"k": 1})
-
-
-@pytest.mark.parametrize("fields, message", [
-    (dict(n=5, prune="K9"), "unknown prune id 'K9'"),
-    (dict(n=0), "n=0 outside 1..64"),
-    (dict(n=5, max_edges=-1), "max_edges -1 is negative"),
-    (dict(n=5, min_degree=-1), "min_degree -1 is negative"),
-    (dict(n=5, min_degree=5), "min_degree 5 infeasible for n=5"),
-    (dict(n=17, prune="K6"), "minor-pruned generation capped at n=16"),
-    (dict(n=30), "unconstrained generation beyond n=10 needs an edge cap"),
-])
-def test_genspec_refuses_bad_fields_by_keyword(fields, message):
-    with pytest.raises(ValueError, match=message):
-        GenSpec(**fields)
-    with pytest.raises(ValueError, match=message):
-        GenSpec(n=5)._replace(**fields)
-
-
-def test_genspec_keeps_its_fields():
-    spec = GenSpec(n=9, min_degree=5, prune="K6", max_edges=30)
-    assert spec == GenSpec(9, 5, "K6", 30) and hash(spec) == hash(GenSpec(9, 5, "K6", 30))
-    assert (spec.n, spec.min_degree, spec.prune, spec.max_edges) == (9, 5, "K6", 30)
-    assert GenSpec(4) == GenSpec(n=4, min_degree=0, prune="none", max_edges=None)
-    assert spec.prune_order() == 6 and GenSpec(4).prune_order() is None

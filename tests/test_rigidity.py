@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from oracles import random_graph_for_tests
+from oracles import random_graph_for_tests, random_planar_triangulation
 from triminor.graphs import (
     complete,
     complete_multipartite,
@@ -11,7 +11,7 @@ from triminor.graphs import (
     make_graph,
 )
 from triminor.rigidity import PRIME, stress_space_dim, whiteley_reduce
-from triminor.verify import load_corpus, random_planar_triangulation
+from triminor.verify import load_corpus
 
 
 def test_single_edge_is_stress_free():

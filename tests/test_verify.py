@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import kr_minor_brute
+from oracles import kr_minor_brute, random_planar_triangulation
 from triminor.canon import canonical_cert
 from triminor.graph6 import parse_graph6, write_graph6
 from triminor.graphs import (
@@ -31,7 +31,6 @@ from triminor.verify import (
     density_verdict,
     load_corpus,
     random_kr_minor_free,
-    random_planar_triangulation,
     run_check,
 )
 
@@ -382,7 +381,7 @@ def test_compk7_apex_frontier_pinned_on_the_whole_corpus():
 def test_lemma_compk8_warns_that_n11_runs_long(monkeypatch, capsys):
     import triminor.generate as generate_module
 
-    monkeypatch.setattr(generate_module, "generate", lambda spec: iter(()))
+    monkeypatch.setattr(generate_module, "generate", lambda *args, **kwargs: iter(()))
     assert list(run_check("lemma-compk8", n=11))[-1].witness == {"n": 11, "graphs": 0}
     captured = capsys.readouterr()
     assert captured.out == ""
