@@ -548,6 +548,8 @@ def test_large_n_with_edge_cap():
     pytest.param(dict(n=5, prune=3), "unknown prune r=3, have 4..8", id="prune-3"),
     pytest.param(dict(n=5, prune="K5"), "unknown prune r='K5', have 4..8",
                  id="prune-id"),
+    pytest.param(dict(n=5, prune="K9"), "unknown prune r='K9', have 4..8",
+                 id="prune-K9"),
     pytest.param(dict(n=0), "n=0 outside 1..64", id="n-0"),
     pytest.param(dict(n=5, max_edges=-1), "max_edges -1 is negative", id="max-edges"),
     pytest.param(dict(n=5, min_degree=-1), "min_degree -1 is negative", id="min-degree"),
@@ -567,6 +569,16 @@ def test_generate_refuses_bad_arguments(monkeypatch, args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         next(generate(**args))
 
+
+def test_genspec_validation():
+    # the generation spec (n, min_degree, prune, max_edges) is checked as a
+    # whole when generate() is first advanced
+    for args in (dict(n=5, prune="K9"), dict(n=5, prune=9), dict(n=5, min_degree=5),
+                 dict(n=5, min_degree=-1), dict(n=0), dict(n=17, prune=6),
+                 dict(n=30)):  # unconstrained beyond desk scale needs a cap
+        with pytest.raises(ValueError):
+            next(generate(**args))
+    next(generate(12, max_edges=14))  # edge-capped large runs are fine
 
 def test_mader_bound_on_generated_minor_free():
     for r, args in ((5, dict(n=7, min_degree=3, prune=5)),
